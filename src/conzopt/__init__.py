@@ -50,6 +50,7 @@ from .reach import (
     reach_standard,
     svse_step_sparse,
     svse_step_standard,
+    unroll,
 )
 from .sets import (
     ConZono,

@@ -1,9 +1,10 @@
 """Assemble control, estimation, and safety-verification problems.
 
 Each builder unrolls a horizon with the high-sparsity reachability
-identity, producing a constrained zonotope over the stacked trajectory
-together with the matching quadratic cost blocks. Solutions map back to
-per-step states and inputs through a recorded offset index.
+identity through ``reach.unroll``, the one place that applies it,
+producing a constrained zonotope over the stacked trajectory together
+with the matching quadratic cost blocks. Solutions map back to per-step
+states and inputs through a recorded offset index.
 """
 
 from __future__ import annotations
@@ -14,16 +15,10 @@ import numpy as np
 
 from .admm import AdmmSettings, check_empty, bounding_box
 from .intervals import IntervalBox
-from .reach import LinearSystem
-from .sets import (
-    ConZono,
-    affine_map,
-    cartesian_product,
-    generalized_intersection,
-    interval_to_zono,
-    point_set,
-)
-from .sparse import SparseMat, blkdiag, hcat, multiply
+from .reach import LinearSystem, _fused_domain, _last_block, unroll
+from .sets import ConZono, generalized_intersection, interval_to_zono, point_set
+from .sets import cartesian_product  # noqa: F401  (perfbench/tests patch it under this name)
+from .sparse import SparseMat, blkdiag, multiply
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,14 @@ def stack_trajectory(xs, us, idx: TrajectoryIndex):
     for k, u in enumerate(us):
         z[idx.u_slice(k)] = u
     return z
+
+
+def _index(n_x, n_m, N):
+    # layout x_0, m_1, x_1, ..., m_N, x_N
+    stride = n_x + n_m
+    return TrajectoryIndex(tuple(k * stride for k in range(N + 1)),
+                           tuple(n_x + k * stride for k in range(N)),
+                           n_x, n_m, n_x + N * stride)
 
 
 @dataclass(frozen=True)
@@ -109,34 +112,19 @@ def build_mpc(spec: MpcSpec):
     """Unroll the tracking problem into (Z, P, q, index).
 
     Per step the feasible set is extended by the input set and the
-    step's state set, then the dynamics rows are pinned with a single
-    intersection against the origin. Cost blocks stack Q/R with Q_N at
-    the terminal state.
+    step's state set, with the dynamics rows pinned against the origin.
+    Cost blocks stack Q/R with Q_N at the terminal state.
     """
-    sys = spec.sys
+    sys, N = spec.sys, spec.N
     n_x, n_u = sys.n_x, sys.n_u
-    Z = point_set(spec.x0)
-    P = spec.Q
-    q = np.zeros(n_x)
-    x_offsets = [0]
-    u_offsets = []
-    offset = n_x
-    dyn = hcat(sys.A, sys.B, SparseMat.eye(n_x, -1.0))
-    origin = point_set(np.zeros(n_x))
-    for k in range(1, spec.N + 1):
-        S_k = spec.state_sets[k - 1]
-        Z = cartesian_product(cartesian_product(Z, sys.U), S_k)
-        pin = hcat(SparseMat.zeros(n_x, Z.dim - dyn.n_cols), dyn)
-        Z = generalized_intersection(Z, origin, pin)
-        u_offsets.append(offset)
-        offset += n_u
-        x_offsets.append(offset)
-        offset += n_x
-        weight = spec.Q_N if k == spec.N else spec.Q
-        P = blkdiag(P, spec.R, weight)
-        q = np.concatenate([q, np.zeros(n_u), -weight.matvec(np.asarray(spec.refs[k - 1], dtype=float))])
-    idx = TrajectoryIndex(tuple(x_offsets), tuple(u_offsets), n_x, n_u, offset)
-    return Z, P, q, idx
+    origin = np.zeros(n_x)
+    Z = unroll(point_set(spec.x0), sys.A, sys.B, [(sys.U, S_k, origin) for S_k in spec.state_sets])
+    P_blocks, q_parts = [spec.Q], [np.zeros(n_x)]
+    for k, ref in enumerate(spec.refs, start=1):
+        weight = spec.Q_N if k == N else spec.Q
+        P_blocks += [spec.R, weight]
+        q_parts += [np.zeros(n_u), -weight.matvec(np.asarray(ref, dtype=float))]
+    return Z, blkdiag(*P_blocks), np.concatenate(q_parts), _index(n_x, n_u, N)
 
 
 @dataclass(frozen=True)
@@ -190,37 +178,17 @@ def build_mhe(spec: MheSpec):
     process noise, and each subsequent state. X_end is the set of states
     consistent with the window data, read off by a linear map.
     """
-    sys = spec.sys
-    n_x = sys.n_x
-    C = sys.C
-    Z = spec.prior_set
-    P = spec.prior_info
-    q = -spec.prior_info.matvec(spec.prior_estimate)
-    x_offsets = [0]
-    w_offsets = []
-    offset = n_x
+    sys, n_x, C = spec.sys, spec.sys.n_x, spec.sys.C
     ct_rinv = multiply(C.T, spec.R_inv)
     ct_rinv_c = multiply(ct_rinv, C)
-    dyn = hcat(sys.A, SparseMat.eye(n_x), SparseMat.eye(n_x, -1.0))
-    neg_v = affine_map(SparseMat.eye(spec.V.dim, -1.0), spec.V)
-    for j in range(spec.N):
-        u = np.asarray(spec.inputs[j], dtype=float)
-        y = np.asarray(spec.measurements[j], dtype=float)
-        meas_set = affine_map(SparseMat.eye(spec.V.dim), neg_v, y)
-        s_fused = generalized_intersection(sys.S, meas_set, C)
-        Z = cartesian_product(cartesian_product(Z, spec.W), s_fused)
-        pin = hcat(SparseMat.zeros(n_x, Z.dim - dyn.n_cols), dyn)
-        Z = generalized_intersection(Z, point_set(-sys.B.matvec(u)), pin)
-        w_offsets.append(offset)
-        offset += n_x
-        x_offsets.append(offset)
-        offset += n_x
-        P = blkdiag(P, spec.Q_inv, ct_rinv_c)
-        q = np.concatenate([q, np.zeros(n_x), -ct_rinv.matvec(y)])
-    idx = TrajectoryIndex(tuple(x_offsets), tuple(w_offsets), n_x, n_x, offset)
-    terminal = hcat(SparseMat.zeros(n_x, offset - n_x), SparseMat.eye(n_x))
-    X_end = affine_map(terminal, Z)
-    return Z, P, q, idx, X_end
+    steps, q_parts = [], [-spec.prior_info.matvec(spec.prior_estimate)]
+    for u, y in zip(spec.inputs, spec.measurements):
+        y = np.asarray(y, dtype=float)
+        steps.append((spec.W, _fused_domain(sys, spec.V, y), -sys.B.matvec(np.asarray(u, dtype=float))))
+        q_parts += [np.zeros(n_x), -ct_rinv.matvec(y)]
+    Z = unroll(spec.prior_set, sys.A, SparseMat.eye(n_x), steps)
+    P = blkdiag(spec.prior_info, *[spec.Q_inv, ct_rinv_c] * spec.N)
+    return Z, P, np.concatenate(q_parts), _index(n_x, n_x, spec.N), _last_block(Z, n_x)
 
 
 def reduce_prior(X: ConZono, settings: AdmmSettings = None, pad=0.05) -> ConZono:
@@ -257,11 +225,7 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
     safe. An iteration-limited check is reported as not certified.
     """
     K = K if isinstance(K, SparseMat) else SparseMat(K)
-    R_map = R_map if isinstance(R_map, SparseMat) else SparseMat(R_map)
-    n_x, n_u = sys.n_x, sys.n_u
     a_closed = SparseMat(sys.A.tocsc() - multiply(sys.B, K).tocsc())
-    dyn = hcat(a_closed, SparseMat.eye(n_x), SparseMat.eye(n_x, -1.0))
-    project = hcat(SparseMat.zeros(n_x, n_x + n_x), SparseMat.eye(n_x))
 
     results = []
     X = X0
@@ -275,7 +239,6 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
         if k == N:
             break
         u_ff = K.matvec(np.asarray(x_refs[k], dtype=float))
-        stacked = cartesian_product(cartesian_product(X, W), sys.S)
-        pinned = generalized_intersection(stacked, point_set(-sys.B.matvec(u_ff)), dyn)
-        X = affine_map(project, pinned)
+        pinned = unroll(X, a_closed, SparseMat.eye(sys.n_x), [(W, sys.S, -sys.B.matvec(u_ff))])
+        X = _last_block(pinned, sys.n_x)
     return results

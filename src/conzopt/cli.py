@@ -66,42 +66,51 @@ def _positive_int(text):
     return value
 
 
-def _add_common(parser):
-    parser.add_argument("--n", type=int, default=None, help="horizon / step-count override")
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
+def _positive_float(text):
+    value = float(text)
+    if not (0.0 < value < np.inf):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
+def _obstacle(text):
+    """CX,CY[,R] as keyword arguments of safety_scenario."""
+    parts = [float(p) for p in text.split(",")]
+    if len(parts) not in (2, 3) or not np.all(np.isfinite(parts)):
+        raise argparse.ArgumentTypeError(f"expected CX,CY[,R] as finite numbers, got {text!r}")
+    return dict(zip(("obstacle_center", "obstacle_inradius"), (tuple(parts[:2]), *parts[2:])))
+
+
+def _add_common(parser, horizon_type):
+    parser.add_argument("--n", type=horizon_type, default=None, help="horizon / step-count override")
     parser.add_argument("--f", type=_positive_int, default=1, help="scenario scaling factor")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--eps-primal", type=float, default=0.01)
-    parser.add_argument("--eps-dual", type=float, default=0.01)
-    parser.add_argument("--rho", type=float, default=1.0)
-    parser.add_argument("--k-inf", type=int, default=10)
-    parser.add_argument("--max-iter", type=int, default=5000)
+    parser.add_argument("--eps-primal", type=_positive_float, default=0.01)
+    parser.add_argument("--eps-dual", type=_positive_float, default=0.01)
+    parser.add_argument("--rho", type=_positive_float, default=1.0)
+    parser.add_argument("--k-inf", type=_positive_int, default=10)
+    parser.add_argument("--max-iter", type=_positive_int, default=5000)
     parser.add_argument("--norm", choices=["l2", "inf"], default="l2")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")
 
 
-def _settings(args, **overrides):
-    base = dict(
-        rho=args.rho,
-        eps_primal=args.eps_primal,
-        eps_dual=args.eps_dual,
-        k_inf=args.k_inf,
-        max_iter=args.max_iter,
-        norm=args.norm,
-    )
-    base.update(overrides)
-    return AdmmSettings(**base)
+_SETTINGS_FIELDS = ("rho", "eps_primal", "eps_dual", "k_inf", "max_iter", "norm")
+
+
+def _settings(args):
+    return AdmmSettings(**{name: getattr(args, name) for name in _SETTINGS_FIELDS})
 
 
 def _settings_echo(settings: AdmmSettings):
-    return {
-        "rho": settings.rho,
-        "eps_primal": settings.eps_primal,
-        "eps_dual": settings.eps_dual,
-        "k_inf": settings.k_inf,
-        "max_iter": settings.max_iter,
-        "norm": settings.norm,
-    }
+    return {name: getattr(settings, name) for name in _SETTINGS_FIELDS}
 
 
 def _emit(args, name, document, records):
@@ -241,21 +250,12 @@ def cmd_mhe(args):
 
 
 def cmd_verify(args):
-    settings = _settings(args, k_inf=args.k_inf)
+    settings = _settings(args)
     n_steps = 20 if args.n is None else args.n
-    kwargs = {"n_steps": n_steps}
-    if args.obstacle:
-        parts = [float(p) for p in args.obstacle.split(",")]
-        if len(parts) not in (2, 3):
-            raise SystemExit(EXIT_USAGE)
-        kwargs["obstacle_center"] = tuple(parts[:2])
-        if len(parts) == 3:
-            kwargs["obstacle_inradius"] = parts[2]
-    scenario = safety_scenario(**kwargs)
+    scenario = safety_scenario(n_steps=n_steps, **args.obstacle)
     t0 = time.perf_counter()
     steps = run_safety_scenario(scenario, settings)
     wall = (time.perf_counter() - t0) * 1e3
-    iters = [s.iterations for s in steps if s.certified]
     histogram = {}
     for s in steps:
         if s.certified:
@@ -284,24 +284,24 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_reach = sub.add_parser("reach", help="reachable-set size benchmark")
-    _add_common(p_reach)
+    _add_common(p_reach, _nonnegative_int)
     p_reach.add_argument("--sweep", type=int, default=0, help="also sweep N=1..SWEEP")
     p_reach.set_defaults(fn=cmd_reach)
 
     p_mpc = sub.add_parser("mpc", help="corridor tracking benchmark")
-    _add_common(p_mpc)
-    p_mpc.add_argument("--closed-loop", type=int, default=0, help="simulate this many steps")
-    p_mpc.add_argument("--horizon", type=int, default=None, help="receding horizon length")
+    _add_common(p_mpc, _positive_int)
+    p_mpc.add_argument("--closed-loop", type=_nonnegative_int, default=0, help="simulate this many steps")
+    p_mpc.add_argument("--horizon", type=_positive_int, default=None, help="receding horizon length")
     p_mpc.set_defaults(fn=cmd_mpc)
 
     p_mhe = sub.add_parser("mhe", help="estimation benchmark")
-    _add_common(p_mhe)
+    _add_common(p_mhe, _positive_int)
     p_mhe.add_argument("--zero-noise", action="store_true")
     p_mhe.set_defaults(fn=cmd_mhe)
 
     p_verify = sub.add_parser("verify", help="safety certification benchmark")
-    _add_common(p_verify)
-    p_verify.add_argument("--obstacle", type=str, default=None,
+    _add_common(p_verify, _nonnegative_int)
+    p_verify.add_argument("--obstacle", type=_obstacle, default={},
                           help="obstacle override as CX,CY[,R]")
     # certificates are sought every iteration in this scenario
     p_verify.set_defaults(fn=cmd_verify, k_inf=1)

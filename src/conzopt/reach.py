@@ -8,7 +8,8 @@ x+ = A x + B u with state domain set S and input domain set U:
               step intersects Psi with (X_k x U) and projects;
 - sparse:     X_{k+1} = [0 0 I]((X_k x U x S) intersected through
               [A B -I] with {0}), which keeps the generator matrix
-              constant-size and the constraint growth linear.
+              constant-size and the constraint growth linear; ``unroll``
+              applies this identity for every caller, builders included.
 
 All methods return the same sets; they differ only in the sparsity and
 size of the matrices representing them. Measurement-update recursions
@@ -27,9 +28,8 @@ from .sets import (
     cartesian_product,
     generalized_intersection,
     minkowski_sum,
-    point_set,
 )
-from .sparse import SparseMat, hcat
+from .sparse import SparseMat, blkdiag, hcat, multiply
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,49 @@ def _check_x0(X0: ConZono, sys: LinearSystem):
         raise ValueError(f"initial set has dimension {X0.dim}, expected {sys.n_x}")
 
 
+def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
+    """Unroll the sparse reachability identity over a horizon.
+
+    Returns Z0 x M_1 x S_1 x ... x M_N x S_N restricted by the rows
+    F_x x_{k-1} + F_m m_k - s_k = t_k, where x_0 is the last n_x
+    coordinates of Z0, x_k = s_k for k >= 1, and ``steps`` is a sequence
+    of (M_k, S_k, t_k). The constraint rows come in the order of the
+    step-by-step composition: those of Z0, then per step those of M_k,
+    of S_k and the pin rows. Each matrix is assembled once.
+    """
+    n_x = F_x.shape[0]
+    dyn = hcat(F_x, F_m, SparseMat.eye(n_x, -1.0))
+    parts, b_parts = [Z0], [Z0.b]                 # the stacked sets; the rhs pieces
+    A_blocks = [(0, 0, Z0.A)]                     # (row offset, column offset, block)
+    n_rows, n_cols = Z0.n_c, Z0.n_g
+    x_G, x_c, x_col = SparseMat(Z0.G.tocsc()[Z0.dim - n_x:]), Z0.c[Z0.dim - n_x:], 0
+    for M, S, t in steps:
+        if (M.dim, S.dim, len(t)) != (F_m.shape[1], n_x, n_x):
+            raise ValueError(f"step sets and target of dimensions {(M.dim, S.dim, len(t))} "
+                             f"do not match {(F_m.shape[1], n_x, n_x)}")
+        s_col = n_cols + M.n_g
+        pin = multiply(dyn, blkdiag(x_G, M.G, S.G))
+        A_blocks += [(n_rows, n_cols, M.A), (n_rows + M.n_c, s_col, S.A),
+                     (n_rows + M.n_c + S.n_c, x_col, pin)]
+        b_parts += [M.b, S.b, t - dyn.matvec(np.concatenate([x_c, M.c, S.c]))]
+        parts += [M, S]
+        n_rows += M.n_c + S.n_c + n_x
+        n_cols = s_col + S.n_g
+        x_G, x_c, x_col = S.G, S.c, s_col
+
+    coos = [(r, c, block.tocsc().tocoo()) for r, c, block in A_blocks]
+    A = SparseMat.from_triplets(np.concatenate([m.row + r for r, _, m in coos]),
+                                np.concatenate([m.col + c for _, c, m in coos]),
+                                np.concatenate([m.data for _, _, m in coos]), (n_rows, n_cols))
+    return ConZono(blkdiag(*[Z.G for Z in parts]), np.concatenate([Z.c for Z in parts]),
+                   A, np.concatenate(b_parts))
+
+
+def _last_block(Z: ConZono, n) -> ConZono:
+    """Projection of Z onto its last n coordinates."""
+    return affine_map(hcat(SparseMat.zeros(n, Z.dim - n), SparseMat.eye(n)), Z)
+
+
 def reach_standard(X0: ConZono, sys: LinearSystem, N, skip_domain=False):
     """Reachable sets X_0..X_N by the direct image/sum recursion.
 
@@ -120,38 +163,26 @@ def reach_graph(X0: ConZono, sys: LinearSystem, N):
     n_x, n_u = sys.n_x, sys.n_u
     psi = _graph_set(sys)
     select_xu = hcat(SparseMat.eye(n_x + n_u), SparseMat.zeros(n_x + n_u, n_x))
-    project = hcat(SparseMat.zeros(n_x, n_x + n_u), SparseMat.eye(n_x))
     sets = [X0]
     for _ in range(int(N)):
         lifted = generalized_intersection(psi, cartesian_product(sets[-1], sys.U), select_xu)
-        sets.append(affine_map(project, lifted))
+        sets.append(_last_block(lifted, n_x))
     return sets
 
 
 def reach_sparse(X0: ConZono, sys: LinearSystem, N):
     """Reachable sets via the sparsity-promoting recursion.
 
-    Each step stacks (X_k x U x S), pins the dynamics with one
-    intersection through [A B -I] against the origin, and projects onto
-    the S block; the iterate generator matrix is always [0 0 G_S].
+    Each step is one ``unroll`` step of (X_k x U x S) pinned through
+    [A B -I] against the origin, projected onto the S block; the iterate
+    generator matrix is always [0 0 G_S].
     """
     _check_x0(X0, sys)
-    n_x, n_u = sys.n_x, sys.n_u
-    dyn = hcat(sys.A, sys.B, SparseMat.eye(n_x, -1.0))
-    origin = point_set(np.zeros(n_x))
-    project = hcat(SparseMat.zeros(n_x, n_x + n_u), SparseMat.eye(n_x))
     sets = [X0]
     for _ in range(int(N)):
-        stacked = cartesian_product(cartesian_product(sets[-1], sys.U), sys.S)
-        pinned = generalized_intersection(stacked, origin, _pad_left(dyn, stacked.dim - dyn.n_cols))
-        sets.append(affine_map(project, pinned))
+        pinned = unroll(sets[-1], sys.A, sys.B, [(sys.U, sys.S, np.zeros(sys.n_x))])
+        sets.append(_last_block(pinned, sys.n_x))
     return sets
-
-
-def _pad_left(R: SparseMat, extra_cols):
-    if extra_cols == 0:
-        return R
-    return hcat(SparseMat.zeros(R.n_rows, extra_cols), R)
 
 
 def svse_step_standard(Xk: ConZono, sys: LinearSystem, W: ConZono, V: ConZono, u, y_next) -> ConZono:
@@ -183,16 +214,14 @@ def svse_step_sparse(Xk: ConZono, sys: LinearSystem, W: ConZono, V: ConZono, u, 
     if sys.C is None:
         raise ValueError("system has no measurement map")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    y_next = np.atleast_1d(np.asarray(y_next, dtype=float))
-    n_x = sys.n_x
-    meas_set = affine_map(SparseMat.eye(V.dim, -1.0), V, y_next)
-    s_fused = generalized_intersection(sys.S, meas_set, sys.C)
-    stacked = cartesian_product(cartesian_product(Xk, W), s_fused)
-    dyn = hcat(sys.A, SparseMat.eye(n_x), SparseMat.eye(n_x, -1.0))
-    target = point_set(-sys.B.matvec(u))
-    pinned = generalized_intersection(stacked, target, _pad_left(dyn, stacked.dim - dyn.n_cols))
-    project = hcat(SparseMat.zeros(n_x, stacked.dim - n_x), SparseMat.eye(n_x))
-    return affine_map(project, pinned)
+    step = (W, _fused_domain(sys, V, y_next), -sys.B.matvec(u))
+    pinned = unroll(Xk, sys.A, SparseMat.eye(sys.n_x), [step])
+    return _last_block(pinned, sys.n_x)
+
+
+def _fused_domain(sys: LinearSystem, V: ConZono, y) -> ConZono:
+    """S intersected through C with (y - V): the states measurable as y."""
+    return generalized_intersection(sys.S, affine_map(SparseMat.eye(V.dim, -1.0), V, y), sys.C)
 
 
 @dataclass(frozen=True)

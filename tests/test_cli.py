@@ -137,5 +137,27 @@ def test_bad_usage_exit_code():
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--obstacle", "a,b"],
+    ["verify", "--obstacle", "1,2,3,4"],
+    ["verify", "--n", "-1"],
+    ["mpc", "--n", "0"],
+    ["mhe", "--n", "0"],
+    ["reach", "--n", "-1"],
+    ["mpc", "--rho", "-1"],
+    ["mpc", "--rho", "nan"],
+    ["mpc", "--k-inf", "0"],
+    ["mpc", "--eps-primal", "0"],
+    ["mpc", "--eps-dual", "inf"],
+    ["mpc", "--horizon", "0"],
+    ["mhe", "--max-iter", "0"],
+])
+def test_invalid_values_exit_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_NO_CONVERGENCE, EXIT_SOUNDNESS, EXIT_USAGE) == (0, 2, 3, 64)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conzopt import Interval, IntervalBox, interval_dot, symmetric_unit_box
@@ -74,11 +74,17 @@ def test_interval_contains_strict():
     assert iv.contains(0.0) and not iv.contains(0.0, strict=True)
 
 
+def _sample(iv, t):
+    # lo + t (hi - lo) can round past hi, e.g. lo = -63, hi = 1.9, t = 1
+    return min(max(iv.lo + t * (iv.hi - iv.lo), iv.lo), iv.hi)
+
+
 @given(interval_strategy(), interval_strategy(), st.floats(0, 1), st.floats(0, 1))
+@example(Interval(0.0, 0.0), Interval(-63.0, 1.9), 0.0, 1.0)
 @settings(max_examples=300, deadline=None)
 def test_inclusion_isotonic_add_sub_mul(ix, iy, tx, ty):
-    x = ix.lo + tx * (ix.hi - ix.lo)
-    y = iy.lo + ty * (iy.hi - iy.lo)
+    x = _sample(ix, tx)
+    y = _sample(iy, ty)
     assert (ix + iy).contains(x + y)
     assert (ix - iy).contains(x - y)
     prod = (ix * iy)
