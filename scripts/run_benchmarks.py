@@ -2,14 +2,20 @@
 """Run all four benchmark scenarios and collect their outputs.
 
 Writes one JSON document and one CSV of bench records per scenario into
-the output directory (default: ./out).
+the output directory (default: ./out). Imports ``conzopt`` from the
+``src/`` of the checkout this script sits in, so it runs without an
+install:
+
+    python3 scripts/run_benchmarks.py --out DIR
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from conzopt.cli import main as cli_main
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from conzopt.cli import main as cli_main  # noqa: E402
 
 
 def run(out_dir):

@@ -6,10 +6,12 @@ space of Z, where the feasible set is the intersection of an affine set
 equality-constrained quadratic solve against a box clamp; because the
 factors are normalized to [-1, 1], no preconditioning is applied.
 
-Emptiness of the affine/box intersection is certified exactly: a vector
-in the row space of the constraints whose inner product with a feasible
-affine point falls strictly outside its interval range over the box
-separates the two sets.
+Emptiness of the affine/box intersection is certified by one check,
+shared by the iteration loop and ``infeasibility_check``: the iterate
+gap zeta - xi is projected onto the row space of the constraints, and
+the projection v separates the two sets when its inner product with the
+affine point xi falls strictly outside [-||v||_1, ||v||_1], its range
+over the box. The test compares floating-point values as computed.
 """
 
 from __future__ import annotations
@@ -17,18 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .intervals import IntervalBox, interval_dot, symmetric_unit_box
+from .intervals import IntervalBox
 from .sets import ConZono
-from .sparse import (
-    RankDeficiencyError,
-    SparseMat,
-    hcat,
-    ldlt_factorize,
-    ldlt_solve,
-    multiply,
-    vcat,
-)
+from .sparse import RankDeficiencyError, SparseMat, ldlt_factorize, ldlt_solve, multiply
 
 
 class ConstraintRankError(ValueError):
@@ -57,7 +52,6 @@ class AdmmSettings:
     k_inf: int = 10
     max_iter: int = 5000
     norm: str = "l2"
-    cert_margin: float = 0.0
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -107,13 +101,12 @@ class ReducedQp:
 
     def __init__(self, Z, rho, p_tilde, q_tilde):
         n_g, n_c = Z.n_g, Z.n_c
-        A_t = Z.A.T
-        m_top = hcat(_plus_rho_identity(p_tilde, rho), A_t)
-        m_bottom = hcat(Z.A, SparseMat.zeros(n_c, n_c))
-        M = vcat(m_top, m_bottom)
+        A = Z.A._m
+        p_rho = p_tilde._m + rho * sp.identity(n_g, format="csc")
+        M = SparseMat.from_blocks([(0, 0, p_rho), (0, n_g, A.T), (n_g, 0, A)], (n_g + n_c,) * 2)
         try:
             factor_m = ldlt_factorize(M)
-            factor_aat = ldlt_factorize(multiply(Z.A, A_t)) if n_c > 0 else None
+            factor_aat = ldlt_factorize(SparseMat(A @ A.T)) if n_c > 0 else None
         except RankDeficiencyError as err:
             raise ConstraintRankError(
                 "constraint matrix is not full row rank (pivot "
@@ -127,9 +120,10 @@ class ReducedQp:
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "factor_m", factor_m)
         object.__setattr__(self, "factor_aat", factor_aat)
-        # prebuilt operators for the per-iteration certificate projection
-        object.__setattr__(self, "_A_csr", Z.A.tocsc().tocsr())
-        object.__setattr__(self, "_At_csc", A_t.tocsc())
+        # prebuilt operators for the certificate projection; the transpose is a view
+        A_csr = A.tocsr()
+        object.__setattr__(self, "_A_csr", A_csr)
+        object.__setattr__(self, "_At_csc", A_csr.T)
 
     def __setattr__(self, name, value):
         raise AttributeError("ReducedQp is immutable")
@@ -141,13 +135,6 @@ class ReducedQp:
     @property
     def n_c(self):
         return self.Z.n_c
-
-
-def _plus_rho_identity(p_tilde: SparseMat, rho):
-    import scipy.sparse as sp
-
-    n = p_tilde.n_rows
-    return SparseMat(p_tilde.tocsc() + rho * sp.identity(n, format="csc"))
 
 
 def reduce_qp(problem: QpProblem, settings: AdmmSettings = AdmmSettings()) -> ReducedQp:
@@ -257,12 +244,7 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
 
         newly_infeasible = np.zeros(m, dtype=bool)
         if n_c > 0 and k % settings.k_inf == 0:
-            diff = zeta - xi
-            y = ldlt_solve(reduced.factor_aat, reduced._A_csr @ diff)
-            v = reduced._At_csc @ y
-            vals = np.einsum("ij,ij->j", v, xi)
-            radius = np.sum(np.abs(v), axis=0)
-            outside = (vals < -radius - settings.cert_margin) | (vals > radius + settings.cert_margin)
+            v, outside = _separation(reduced, xi, zeta)
             newly_infeasible = outside & ~done
             for j in np.nonzero(newly_infeasible)[0]:
                 status[j] = "infeasible"
@@ -327,25 +309,32 @@ def admm_solve(reduced: ReducedQp, settings: AdmmSettings = AdmmSettings(),
     return _iterate_batch(reduced, q.reshape(-1, 1), settings, warm=warm)[0]
 
 
-def infeasibility_check(reduced: ReducedQp, xi, zeta, settings: AdmmSettings = AdmmSettings()):
-    """Candidate emptiness certificate from an iterate pair, or None.
+def _separation(reduced: ReducedQp, xi, zeta):
+    """The certificate check on a batch of iterate pairs (one per column).
 
-    Projects zeta - xi onto the constraint row space and returns the
-    projection when its inner product with xi (a point satisfying the
-    constraint rows) lies strictly outside its achievable interval over
-    the unit box.
+    Returns the projections v of zeta - xi onto the constraint row space
+    and, per column, whether v . xi (xi satisfies the constraint rows)
+    lies strictly outside [-||v||_1, ||v||_1], the range of v over the
+    unit box.
+    """
+    y = ldlt_solve(reduced.factor_aat, reduced._A_csr @ (zeta - xi))
+    v = reduced._At_csc @ y
+    vals = np.einsum("ij,ij->j", v, xi)
+    radius = np.sum(np.abs(v), axis=0)
+    return v, (vals < -radius) | (vals > radius)
+
+
+def infeasibility_check(reduced: ReducedQp, xi, zeta):
+    """Emptiness certificate from one iterate pair, or None.
+
+    Runs the solver's certificate check on the single column (xi, zeta)
+    and returns the separating projection when it fires.
     """
     if reduced.n_c == 0:
         return None
-    xi = np.asarray(xi, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    y = ldlt_solve(reduced.factor_aat, reduced.Z.A.matvec(zeta - xi))
-    v = reduced.Z.A.rmatvec(y)
-    value = float(v @ xi)
-    box_range = interval_dot(v, symmetric_unit_box(reduced.n_g))
-    if value < box_range.lo - settings.cert_margin or value > box_range.hi + settings.cert_margin:
-        return v
-    return None
+    v, outside = _separation(reduced, np.asarray(xi, dtype=float).reshape(-1, 1),
+                             np.asarray(zeta, dtype=float).reshape(-1, 1))
+    return v[:, 0] if outside[0] else None
 
 
 def check_empty(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> AdmmResult:
@@ -403,18 +392,13 @@ def contains_point(Z: ConZono, x, settings: AdmmSettings = AdmmSettings()) -> bo
     if x.shape[0] != Z.dim:
         raise ValueError(f"point of length {x.shape[0]} does not match set dimension {Z.dim}")
     offset = x - Z.c
-    g_csr = Z.G.tocsc().tocsr()
-    row_nnz = np.diff(g_csr.indptr)
-    flat = row_nnz == 0
+    g_csr = Z.G._m.tocsr()
+    flat = np.diff(g_csr.indptr) == 0
     if np.any(offset[flat] != 0.0):
         return False
-    pin_rows = SparseMat(g_csr[~flat]) if np.any(flat) else Z.G
-    augmented = ConZono(
-        Z.G,
-        Z.c,
-        vcat(Z.A, pin_rows),
-        np.concatenate([Z.b, offset[~flat]]),
-    )
+    pin_rows = g_csr[~flat] if np.any(flat) else g_csr
+    A = SparseMat.from_blocks([(0, 0, Z.A), (Z.n_c, 0, pin_rows)], (Z.n_c + pin_rows.shape[0], Z.n_g))
+    augmented = ConZono(Z.G, Z.c, A, np.concatenate([Z.b, offset[~flat]]))
     return not is_empty(augmented, settings)
 
 

@@ -225,7 +225,7 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
     safe. An iteration-limited check is reported as not certified.
     """
     K = K if isinstance(K, SparseMat) else SparseMat(K)
-    a_closed = SparseMat(sys.A.tocsc() - multiply(sys.B, K).tocsc())
+    a_closed, noise_map = SparseMat(sys.A._m - sys.B._m @ K._m), SparseMat.eye(sys.n_x)
 
     results = []
     X = X0
@@ -239,6 +239,6 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
         if k == N:
             break
         u_ff = K.matvec(np.asarray(x_refs[k], dtype=float))
-        pinned = unroll(X, a_closed, SparseMat.eye(sys.n_x), [(W, sys.S, -sys.B.matvec(u_ff))])
+        pinned = unroll(X, a_closed, noise_map, [(W, sys.S, -sys.B.matvec(u_ff))])
         X = _last_block(pinned, sys.n_x)
     return results

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .sets import (
     ConZono,
@@ -29,7 +30,7 @@ from .sets import (
     generalized_intersection,
     minkowski_sum,
 )
-from .sparse import SparseMat, blkdiag, hcat, multiply
+from .sparse import SparseMat, blkdiag, hcat
 
 
 @dataclass(frozen=True)
@@ -87,36 +88,37 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     of S_k and the pin rows. Each matrix is assembled once.
     """
     n_x = F_x.shape[0]
-    dyn = hcat(F_x, F_m, SparseMat.eye(n_x, -1.0))
+    if Z0.dim < n_x:
+        raise ValueError(f"cannot multiply {F_x.shape} by the last {n_x} coordinates "
+                         f"of a set of dimension {Z0.dim}")
+    # [F_x F_m -I] applied to the stacked centers gives the rhs of the pin rows
+    dyn = sp.hstack([F_x._m, F_m._m, -sp.identity(n_x, format="csc")], format="csc")
     parts, b_parts = [Z0], [Z0.b]                 # the stacked sets; the rhs pieces
     A_blocks = [(0, 0, Z0.A)]                     # (row offset, column offset, block)
     n_rows, n_cols = Z0.n_c, Z0.n_g
-    x_G, x_c, x_col = SparseMat(Z0.G.tocsc()[Z0.dim - n_x:]), Z0.c[Z0.dim - n_x:], 0
+    x_G, x_c, x_col = Z0.G._m[Z0.dim - n_x:], Z0.c[Z0.dim - n_x:], 0
     for M, S, t in steps:
         if (M.dim, S.dim, len(t)) != (F_m.shape[1], n_x, n_x):
             raise ValueError(f"step sets and target of dimensions {(M.dim, S.dim, len(t))} "
                              f"do not match {(F_m.shape[1], n_x, n_x)}")
         s_col = n_cols + M.n_g
-        pin = multiply(dyn, blkdiag(x_G, M.G, S.G))
+        pin_row = n_rows + M.n_c + S.n_c
         A_blocks += [(n_rows, n_cols, M.A), (n_rows + M.n_c, s_col, S.A),
-                     (n_rows + M.n_c + S.n_c, x_col, pin)]
-        b_parts += [M.b, S.b, t - dyn.matvec(np.concatenate([x_c, M.c, S.c]))]
+                     (pin_row, x_col, F_x._m @ x_G), (pin_row, n_cols, F_m._m @ M.G._m),
+                     (pin_row, s_col, -S.G._m)]
+        b_parts += [M.b, S.b, t - dyn @ np.concatenate([x_c, M.c, S.c])]
         parts += [M, S]
-        n_rows += M.n_c + S.n_c + n_x
+        n_rows = pin_row + n_x
         n_cols = s_col + S.n_g
-        x_G, x_c, x_col = S.G, S.c, s_col
+        x_G, x_c, x_col = S.G._m, S.c, s_col
 
-    coos = [(r, c, block.tocsc().tocoo()) for r, c, block in A_blocks]
-    A = SparseMat.from_triplets(np.concatenate([m.row + r for r, _, m in coos]),
-                                np.concatenate([m.col + c for _, c, m in coos]),
-                                np.concatenate([m.data for _, _, m in coos]), (n_rows, n_cols))
     return ConZono(blkdiag(*[Z.G for Z in parts]), np.concatenate([Z.c for Z in parts]),
-                   A, np.concatenate(b_parts))
+                   SparseMat.from_blocks(A_blocks, (n_rows, n_cols)), np.concatenate(b_parts))
 
 
 def _last_block(Z: ConZono, n) -> ConZono:
     """Projection of Z onto its last n coordinates."""
-    return affine_map(hcat(SparseMat.zeros(n, Z.dim - n), SparseMat.eye(n)), Z)
+    return ConZono(SparseMat(Z.G._m[Z.dim - n:]), Z.c[Z.dim - n:].copy(), Z.A, Z.b)
 
 
 def reach_standard(X0: ConZono, sys: LinearSystem, N, skip_domain=False):
@@ -221,7 +223,10 @@ def svse_step_sparse(Xk: ConZono, sys: LinearSystem, W: ConZono, V: ConZono, u, 
 
 def _fused_domain(sys: LinearSystem, V: ConZono, y) -> ConZono:
     """S intersected through C with (y - V): the states measurable as y."""
-    return generalized_intersection(sys.S, affine_map(SparseMat.eye(V.dim, -1.0), V, y), sys.C)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != V.c.shape:
+        raise ValueError(f"measurement of length {y.shape[0]} does not match noise set dimension {V.dim}")
+    return generalized_intersection(sys.S, ConZono(-V.G, y - V.c, V.A, V.b), sys.C)
 
 
 @dataclass(frozen=True)

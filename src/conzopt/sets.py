@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .intervals import Interval, IntervalBox
-from .sparse import SparseMat, blkdiag, hcat, multiply, vcat
+from .sparse import SparseMat, blkdiag, hcat, multiply
 
 
 class ConZono:
@@ -160,20 +160,19 @@ def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
     Result: <[G1 0], c1, [[A1 0]; [0 A2]; [R G1, -G2]], [b1; b2; c2 - R c1]>.
     """
     if R is None:
-        R = SparseMat.eye(Z1.dim)
+        RG1, Rc1, n_rows = Z1.G, Z1.c, Z1.dim
     else:
         R = R if isinstance(R, SparseMat) else SparseMat(R)
-    if R.n_cols != Z1.dim:
-        raise ValueError(f"map with {R.n_cols} columns cannot act on a set of dimension {Z1.dim}")
-    if R.n_rows != Z2.dim:
-        raise ValueError(f"map with {R.n_rows} rows does not land in a set of dimension {Z2.dim}")
-    G = hcat(Z1.G, SparseMat.zeros(Z1.dim, Z2.n_g))
-    A = vcat(
-        blkdiag(Z1.A, Z2.A),
-        hcat(multiply(R, Z1.G), -Z2.G),
-    )
-    b = np.concatenate([Z1.b, Z2.b, Z2.c - R.matvec(Z1.c)])
-    return ConZono(G, Z1.c, A, b)
+        if R.n_cols != Z1.dim:
+            raise ValueError(f"map with {R.n_cols} columns cannot act on a set of dimension {Z1.dim}")
+        RG1, Rc1, n_rows = R._m @ Z1.G._m, R.matvec(Z1.c), R.n_rows
+    if n_rows != Z2.dim:
+        raise ValueError(f"map with {n_rows} rows does not land in a set of dimension {Z2.dim}")
+    n_g, n_c = Z1.n_g + Z2.n_g, Z1.n_c + Z2.n_c
+    G = SparseMat.from_blocks([(0, 0, Z1.G)], (Z1.dim, n_g))
+    A = SparseMat.from_blocks([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A),
+                               (n_c, 0, RG1), (n_c, Z1.n_g, -Z2.G._m)], (n_c + n_rows, n_g))
+    return ConZono(G, Z1.c, A, np.concatenate([Z1.b, Z2.b, Z2.c - Rc1]))
 
 
 def intersection(Z1: ConZono, Z2: ConZono) -> ConZono:

@@ -2,8 +2,14 @@
 
 Compressed sparse-column matrices with strict nonzero accounting, the
 handful of structural operations needed by the set calculus (products,
-concatenation, block diagonals), and an LDLT factorization for symmetric
-quasi-definite systems.
+concatenation, block diagonals, block assembly), and an LDLT
+factorization in natural order for symmetric quasi-definite systems.
+
+``SparseMat`` is the one place a matrix is canonicalized: construction
+makes at most one copy of its input and sums duplicates and drops
+explicit zeros in place. Code inside the package composes the stored
+scipy matrices (``SparseMat._m``, never mutated) and wraps only the
+result, so each matrix it returns is built once.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import threading
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class RankDeficiencyError(ValueError):
@@ -34,9 +39,9 @@ class RankDeficiencyError(ValueError):
 class SparseMat:
     """Immutable CSC matrix with no explicitly stored zeros.
 
-    nnz counts structural nonzeros only: construction prunes explicit
-    zeros and duplicate entries, so counts are deterministic regardless
-    of how the matrix was assembled.
+    nnz counts structural nonzeros only: construction sums duplicate
+    entries and prunes explicit zeros, so counts are deterministic
+    regardless of how the matrix was assembled.
     """
 
     __slots__ = ("_m",)
@@ -44,19 +49,17 @@ class SparseMat:
     def __init__(self, data, shape=None):
         if isinstance(data, SparseMat):
             m = data._m
-        elif sp.issparse(data):
-            m = data.tocsc(copy=True)
         else:
-            arr = np.atleast_2d(np.asarray(data, dtype=float))
-            if shape is not None and arr.size == 0:
-                arr = arr.reshape(shape)
-            m = sp.csc_matrix(arr)
+            if not sp.issparse(data):
+                data = np.atleast_2d(np.asarray(data, dtype=float))
+                if shape is not None and data.size == 0:
+                    data = data.reshape(shape)
+            # the one copy: a CSC input is copied, any other is converted
+            m = sp.csc_matrix(data, dtype=float, copy=True)
+            m.sum_duplicates()
+            m.eliminate_zeros()
         if shape is not None and m.shape != tuple(shape):
             raise ValueError(f"data of shape {m.shape} does not match requested shape {tuple(shape)}")
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        m.sort_indices()
-        m = m.astype(float)
         object.__setattr__(self, "_m", m)
 
     def __setattr__(self, name, value):
@@ -71,13 +74,17 @@ class SparseMat:
         return cls(sp.identity(n, format="csc") * scale)
 
     @classmethod
-    def diag(cls, values):
-        values = np.asarray(values, dtype=float)
-        return cls(sp.diags(values).tocsc())
+    def from_triplets(cls, rows, cols, vals, shape):
+        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape))
 
     @classmethod
-    def from_triplets(cls, rows, cols, vals, shape):
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsc())
+    def from_blocks(cls, blocks, shape):
+        """Matrix of the given shape holding each (row, col, block) at that
+        offset; blocks may be SparseMat or scipy matrices."""
+        coos = [(r, c, (b._m if isinstance(b, SparseMat) else b).tocoo()) for r, c, b in blocks]
+        return cls.from_triplets(np.concatenate([m.row + r for r, _, m in coos]),
+                                 np.concatenate([m.col + c for _, c, m in coos]),
+                                 np.concatenate([m.data for _, _, m in coos]), shape)
 
     @property
     def shape(self):
@@ -108,18 +115,12 @@ class SparseMat:
         order = np.lexsort((coo.row, coo.col))
         return [(int(coo.row[i]), int(coo.col[i]), float(coo.data[i])) for i in order]
 
-    def transpose(self):
-        return SparseMat(self._m.T.tocsc())
-
     @property
     def T(self):
-        return self.transpose()
-
-    def scale(self, alpha):
-        return SparseMat(self._m * float(alpha))
+        return SparseMat(self._m.T)
 
     def __neg__(self):
-        return self.scale(-1.0)
+        return SparseMat(-self._m)
 
     def __matmul__(self, other):
         return multiply(self, other)
@@ -188,11 +189,10 @@ def blkdiag(*mats):
 
 
 class LdltFactor:
-    """L D L^T factorization of a permuted symmetric matrix.
+    """L D L^T factorization of a symmetric matrix in natural order.
 
     L is unit lower triangular (unit diagonal not stored), D holds the
-    mixed-sign pivots. ``perm`` maps factor positions to original
-    indices: P M P^T = L D L^T with P[i, perm[i]] = 1.
+    mixed-sign pivots: M = L D L^T.
 
     The factor is immutable; solves allocate per-call scratch and are
     safe to run concurrently.
@@ -202,15 +202,14 @@ class LdltFactor:
     # use LAPACK triangular kernels instead of per-column python loops
     _DENSE_SOLVE_MAX_DIM = 2600
 
-    __slots__ = ("n", "L", "D", "perm", "_Lp", "_Li", "_Lx", "_Ldense")
+    __slots__ = ("n", "L", "D", "_Lp", "_Li", "_Lx", "_Ldense")
 
-    def __init__(self, n, Lp, Li, Lx, D, perm=None):
+    def __init__(self, n, Lp, Li, Lx, D):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "_Lp", Lp)
         object.__setattr__(self, "_Li", Li)
         object.__setattr__(self, "_Lx", Lx)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "perm", perm)
         lower = sp.csc_matrix((Lx, Li, Lp), shape=(n, n))
         object.__setattr__(self, "L", SparseMat(lower + sp.identity(n, format="csc")))
         if n <= self._DENSE_SOLVE_MAX_DIM:
@@ -230,6 +229,9 @@ class LdltFactor:
 _symbolic_cache: dict = {}
 _symbolic_lock = threading.Lock()
 _SYMBOLIC_CACHE_MAX = 64
+
+# a pivot at or below this fraction of max|M| signals rank deficiency
+_PIVOT_REL_TOL = 1e-12
 
 
 def _symbolic(n, Ap, Ai):
@@ -268,8 +270,8 @@ def _symbolic(n, Ap, Ai):
     return result
 
 
-def ldlt_factorize(m: SparseMat, ordering="natural", pivot_rel_tol=1e-12) -> LdltFactor:
-    """Sparse LDLT factorization with 1-by-1 pivots in fixed order.
+def ldlt_factorize(m: SparseMat) -> LdltFactor:
+    """Sparse LDLT factorization with 1-by-1 pivots in natural order.
 
     Suitable for symmetric quasi-definite matrices (positive-definite
     leading block, zero trailing block, full-row-rank coupling), for
@@ -277,11 +279,8 @@ def ldlt_factorize(m: SparseMat, ordering="natural", pivot_rel_tol=1e-12) -> Ldl
     cancellation during elimination are kept structurally so nonzero
     counts stay deterministic.
 
-    ordering: "natural" (default) factorizes in given order; "rcm"
-    applies a reverse-Cuthill-McKee fill-reducing permutation first.
-
-    Raises RankDeficiencyError when a pivot magnitude falls below
-    ``pivot_rel_tol * max|m|``, which signals that the coupling rows are
+    Raises RankDeficiencyError when a pivot magnitude falls to
+    1e-12 * max|m| or below, which signals that the coupling rows are
     not full row rank.
     """
     m = m if isinstance(m, SparseMat) else SparseMat(m)
@@ -290,28 +289,14 @@ def ldlt_factorize(m: SparseMat, ordering="natural", pivot_rel_tol=1e-12) -> Ldl
     if not m.is_symmetric():
         raise ValueError("matrix is not symmetric within 1e-12 relative tolerance")
 
-    csc = m._m
-    perm = None
-    if ordering == "rcm":
-        perm = np.asarray(reverse_cuthill_mckee(csc, symmetric_mode=True), dtype=np.int64)
-        # zero-diagonal rows (constraint rows of saddle systems) must be
-        # eliminated after the definite block or a pivot is structurally zero
-        diag = csc.diagonal()
-        nonzero_diag = diag[perm] != 0.0
-        perm = np.concatenate([perm[nonzero_diag], perm[~nonzero_diag]])
-        csc = csc[perm][:, perm].tocsc()
-        csc.sort_indices()
-    elif ordering != "natural":
-        raise ValueError(f"unknown ordering {ordering!r}")
-
-    n = csc.shape[0]
-    upper = sp.triu(csc, format="csc")
+    n = m.n_rows
+    upper = sp.triu(m._m, format="csc")
     upper.sort_indices()
     Ap = upper.indptr.astype(np.int64)
     Ai = upper.indices.astype(np.int64)
     Ax = upper.data
 
-    threshold = pivot_rel_tol * (m.max_abs() if m.nnz else 1.0)
+    threshold = _PIVOT_REL_TOL * (m.max_abs() if m.nnz else 1.0)
     parent, Lp = _symbolic(n, Ap, Ai)
 
     Li = np.zeros(Lp[-1], dtype=np.int64)
@@ -357,9 +342,9 @@ def ldlt_factorize(m: SparseMat, ordering="natural", pivot_rel_tol=1e-12) -> Ldl
             Lx[p1] = l_ki
             lnz[i] += 1
         if abs(D[k]) <= threshold:
-            raise RankDeficiencyError(k if perm is None else int(perm[k]), D[k])
+            raise RankDeficiencyError(k, D[k])
 
-    return LdltFactor(n, Lp, Li, Lx, D, perm=perm)
+    return LdltFactor(n, Lp, Li, Lx, D)
 
 
 def _solve_lower_csc(Lp, Li, Lx, x):
@@ -392,8 +377,6 @@ def ldlt_solve(factor: LdltFactor, rhs):
     if rhs.shape[0] != factor.n:
         raise ValueError(f"rhs of length {rhs.shape[0]} does not match system dimension {factor.n}")
     x = rhs.copy()
-    if factor.perm is not None:
-        x = x[factor.perm]
     d = factor.D if x.ndim == 1 else factor.D[:, None]
     if factor._Ldense is not None and factor.n > 0:
         x = scipy.linalg.solve_triangular(
@@ -409,8 +392,4 @@ def ldlt_solve(factor: LdltFactor, rhs):
         _solve_lower_csc(factor._Lp, factor._Li, factor._Lx, x)
         x /= d
         _solve_lower_t_csc(factor._Lp, factor._Li, factor._Lx, x)
-    if factor.perm is not None:
-        out = np.empty_like(x)
-        out[factor.perm] = x
-        x = out
     return x

@@ -107,7 +107,7 @@ def _random_system_with_nested_x0(rng, n_x, n_u):
     semantics of the recursions require."""
     _, sys = _random_system(rng, n_x, n_u, constrained=False)
     # a center-anchored shrink of a zonotope is contained in it
-    X0 = ConZono(sys.S.G.scale(0.1), np.array(sys.S.c))
+    X0 = ConZono(SparseMat(sys.S.G.tocsc() * 0.1), np.array(sys.S.c))
     return X0, sys
 
 
@@ -280,3 +280,9 @@ def test_svse_requires_measurement_map(second_order):
     X0, sys = second_order
     with pytest.raises(ValueError, match="measurement"):
         svse_step_sparse(X0, sys, X0, X0, np.zeros(1), np.zeros(2))
+    # a measurement of the wrong length is refused, not broadcast
+    sys = _measured_system()
+    W = V = point_set(np.zeros(2))
+    for step in (svse_step_standard, svse_step_sparse):
+        with pytest.raises(ValueError, match="measurement of length 1"):
+            step(point_set([1.0, -0.5]), sys, W, V, np.array([0.3]), np.array([1.0]))
