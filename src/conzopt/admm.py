@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .intervals import IntervalBox
 from .sets import ConZono
-from .sparse import RankDeficiencyError, SparseMat, ldlt_factorize, ldlt_solve, multiply
+from .sparse import RankDeficiencyError, SparseMat, ldlt_factorize, ldlt_solve
 
 
 class ConstraintRankError(ValueError):
@@ -140,7 +140,12 @@ class ReducedQp:
 def reduce_qp(problem: QpProblem, settings: AdmmSettings = AdmmSettings()) -> ReducedQp:
     """Project the QP onto the factor space of its feasible set."""
     Z = problem.Z
-    p_tilde = multiply(Z.G.T, multiply(problem.P, Z.G))
+    # P G canonical (sorted indices, no explicit zeros) fixes the order
+    # in which G^T (P G) sums each entry
+    PG = problem.P._m @ Z.G._m
+    PG.sum_duplicates()
+    PG.eliminate_zeros()
+    p_tilde = SparseMat(Z.G._m.T @ PG)
     q_tilde = Z.G.rmatvec(problem.P.matvec(Z.c) + problem.q)
     return ReducedQp(Z, settings.rho, p_tilde, q_tilde)
 

@@ -181,7 +181,7 @@ def cmd_mpc(args):
     wall = (time.perf_counter() - t0) * 1e3
     record = BenchRecord(
         scenario="mpc-corridor", method="sparse", N=spec.N,
-        n_g=run.n_g, n_c=run.n_c, nnz_g=0, nnz_a=0, nnz_m=run.nnz_m,
+        n_g=run.n_g, n_c=run.n_c, nnz_g=run.nnz_g, nnz_a=run.nnz_a, nnz_m=run.nnz_m,
         iterations=run.iterations, wall_ms=wall, status=run.status,
     )
     closed = []
@@ -194,7 +194,8 @@ def cmd_mpc(args):
         "scenario": "mpc-corridor", "f": args.f, "N": spec.N,
         "settings": _settings_echo(settings),
         "status": run.status, "iterations": run.iterations,
-        "n_g": run.n_g, "n_c": run.n_c, "nnz_m": run.nnz_m,
+        "n_g": run.n_g, "n_c": run.n_c, "nnz_g": run.nnz_g, "nnz_a": run.nnz_a,
+        "nnz_m": run.nnz_m,
         "objective": run.objective,
         "violations": run.violations,
         "trajectory": {

@@ -1,4 +1,7 @@
-"""Closed scalar intervals and interval vectors with exact endpoint arithmetic."""
+"""Closed scalar intervals and interval vectors.
+
+Endpoint arithmetic rounds to nearest, not outward.
+"""
 
 from __future__ import annotations
 

@@ -202,6 +202,8 @@ class MpcRunResult:
     iterations: int
     n_g: int
     n_c: int
+    nnz_g: int
+    nnz_a: int
     nnz_m: int
     objective: float
     states: list
@@ -225,6 +227,8 @@ def run_mpc_open_loop(spec: MpcSpec, settings: AdmmSettings = AdmmSettings(),
         iterations=result.iterations,
         n_g=Z.n_g,
         n_c=Z.n_c,
+        nnz_g=Z.G.nnz,
+        nnz_a=Z.A.nnz,
         nnz_m=reduced.M.nnz,
         objective=objective,
         states=xs,

@@ -4,6 +4,8 @@ Compressed sparse-column matrices with strict nonzero accounting, the
 handful of structural operations needed by the set calculus (products,
 concatenation, block diagonals, block assembly), and an LDLT
 factorization in natural order for symmetric quasi-definite systems.
+Its back-solve is compiled: LAPACK dense triangular solves up to
+dimension 1000, a SuperLU triangular solve of the same L above.
 
 ``SparseMat`` is the one place a matrix is canonicalized: construction
 makes at most one copy of its input and sums duplicates and drops
@@ -19,6 +21,7 @@ import threading
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 
 class RankDeficiencyError(ValueError):
@@ -191,33 +194,31 @@ def blkdiag(*mats):
 class LdltFactor:
     """L D L^T factorization of a symmetric matrix in natural order.
 
-    L is unit lower triangular (unit diagonal not stored), D holds the
-    mixed-sign pivots: M = L D L^T.
+    L is unit lower triangular with its unit diagonal stored, D holds the
+    mixed-sign pivots: M = L D L^T. L is the one copy of the factor that
+    the back-solve reads: up to dimension 1000 through a dense copy and
+    LAPACK triangular kernels, above it through SuperLU built from L in
+    natural order without pivoting, which reproduces L with U = I.
 
     The factor is immutable; solves allocate per-call scratch and are
     safe to run concurrently.
     """
 
-    # below this dimension a dense copy of L is kept so back-solves can
-    # use LAPACK triangular kernels instead of per-column python loops
-    _DENSE_SOLVE_MAX_DIM = 2600
+    # up to this dimension LAPACK's dense triangular solve beats SuperLU
+    # on the small multi-column right-hand sides of support queries
+    _DENSE_SOLVE_MAX_DIM = 1000
 
-    __slots__ = ("n", "L", "D", "_Lp", "_Li", "_Lx", "_Ldense")
+    __slots__ = ("n", "L", "D", "_Ldense", "_tri")
 
-    def __init__(self, n, Lp, Li, Lx, D):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "_Lp", Lp)
-        object.__setattr__(self, "_Li", Li)
-        object.__setattr__(self, "_Lx", Lx)
+    def __init__(self, L: SparseMat, D):
+        n = L.n_rows
+        dense = n <= self._DENSE_SOLVE_MAX_DIM
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "L", L)
         object.__setattr__(self, "D", D)
-        lower = sp.csc_matrix((Lx, Li, Lp), shape=(n, n))
-        object.__setattr__(self, "L", SparseMat(lower + sp.identity(n, format="csc")))
-        if n <= self._DENSE_SOLVE_MAX_DIM:
-            dense = lower.toarray()
-            np.fill_diagonal(dense, 1.0)
-            object.__setattr__(self, "_Ldense", dense)
-        else:
-            object.__setattr__(self, "_Ldense", None)
+        object.__setattr__(self, "_Ldense", L.toarray() if dense else None)
+        object.__setattr__(self, "_tri", None if dense else
+                           splu(L._m, permc_spec="NATURAL", diag_pivot_thresh=0.0))
 
     def __setattr__(self, name, value):
         raise AttributeError("LdltFactor is immutable")
@@ -275,9 +276,10 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
 
     Suitable for symmetric quasi-definite matrices (positive-definite
     leading block, zero trailing block, full-row-rank coupling), for
-    which this pivot sequence always exists. Exact zeros produced by
-    cancellation during elimination are kept structurally so nonzero
-    counts stay deterministic.
+    which this pivot sequence always exists. Elimination fills the
+    symbolic pattern of L; entries that cancel to exactly zero are
+    pruned from the returned L like any SparseMat, so L.nnz counts
+    numerical nonzeros and is deterministic.
 
     Raises RankDeficiencyError when a pivot magnitude falls to
     1e-12 * max|m| or below, which signals that the coupling rows are
@@ -344,27 +346,8 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
         if abs(D[k]) <= threshold:
             raise RankDeficiencyError(k, D[k])
 
-    return LdltFactor(n, Lp, Li, Lx, D)
-
-
-def _solve_lower_csc(Lp, Li, Lx, x):
-    # x <- L^{-1} x, unit diagonal implied
-    n = len(Lp) - 1
-    for j in range(n):
-        p0, p1 = Lp[j], Lp[j + 1]
-        if p1 > p0:
-            x[Li[p0:p1]] -= np.multiply.outer(Lx[p0:p1], x[j]) if x.ndim > 1 else Lx[p0:p1] * x[j]
-    return x
-
-
-def _solve_lower_t_csc(Lp, Li, Lx, x):
-    # x <- L^{-T} x, unit diagonal implied
-    n = len(Lp) - 1
-    for j in range(n - 1, -1, -1):
-        p0, p1 = Lp[j], Lp[j + 1]
-        if p1 > p0:
-            x[j] -= Lx[p0:p1] @ x[Li[p0:p1]]
-    return x
+    lower = sp.csc_matrix((Lx, Li, Lp), shape=(n, n))
+    return LdltFactor(SparseMat(lower + sp.identity(n, format="csc")), D)
 
 
 def ldlt_solve(factor: LdltFactor, rhs):
@@ -376,20 +359,16 @@ def ldlt_solve(factor: LdltFactor, rhs):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != factor.n:
         raise ValueError(f"rhs of length {rhs.shape[0]} does not match system dimension {factor.n}")
-    x = rhs.copy()
-    d = factor.D if x.ndim == 1 else factor.D[:, None]
-    if factor._Ldense is not None and factor.n > 0:
-        x = scipy.linalg.solve_triangular(
-            factor._Ldense, x, lower=True, unit_diagonal=True, check_finite=False,
-            overwrite_b=True,
-        )
+    d = factor.D if rhs.ndim == 1 else factor.D[:, None]
+    if factor._tri is not None:
+        x = factor._tri.solve(rhs)
         x /= d
-        x = scipy.linalg.solve_triangular(
-            factor._Ldense, x, lower=True, unit_diagonal=True, trans="T", check_finite=False,
-            overwrite_b=True,
-        )
-    else:
-        _solve_lower_csc(factor._Lp, factor._Li, factor._Lx, x)
-        x /= d
-        _solve_lower_t_csc(factor._Lp, factor._Li, factor._Lx, x)
-    return x
+        return factor._tri.solve(x, trans="T")
+    x = scipy.linalg.solve_triangular(
+        factor._Ldense, rhs, lower=True, unit_diagonal=True, check_finite=False,
+    )
+    x /= d
+    return scipy.linalg.solve_triangular(
+        factor._Ldense, x, lower=True, unit_diagonal=True, trans="T", check_finite=False,
+        overwrite_b=True,
+    )

@@ -80,6 +80,16 @@ def test_mpc_small_instance(tmp_path, capsys):
     assert (tmp_path / "mpc.json").exists()
 
 
+def test_mpc_reports_structural_counts(tmp_path, capsys):
+    # the f = 1 corridor problem: G and A of the unrolled set, and M
+    code, doc = run_cli(capsys, "mpc", "--f", "1", "--out", str(tmp_path), "--format", "both")
+    assert code == EXIT_OK
+    assert (doc["n_g"], doc["nnz_g"], doc["nnz_a"], doc["nnz_m"]) == (825, 1540, 3657, 10119)
+    with (tmp_path / "mpc_records.csv").open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (int(row["nnz_g"]), int(row["nnz_a"]), int(row["nnz_m"])) == (1540, 3657, 10119)
+
+
 def test_mpc_closed_loop_smoke(capsys):
     code, doc = run_cli(capsys, "mpc", "--n", "6", "--closed-loop", "3",
                         "--norm", "inf")

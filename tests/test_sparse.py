@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -207,27 +210,92 @@ def test_ldlt_solve_dimension_error(rng):
         ldlt_solve(f, np.ones(2))
 
 
-def test_ldlt_sparse_solve_path(rng):
-    # force the CSC fallback used above the dense-cache threshold
+def test_ldlt_sparse_solve_path(rng, monkeypatch):
+    # every dimension above the cutoff takes the SuperLU triangular solve
+    monkeypatch.setattr(LdltFactor, "_DENSE_SOLVE_MAX_DIM", 0)
     M = _random_quasi_definite(rng, 30, 10)
     f = ldlt_factorize(SparseMat(M))
-    object.__setattr__(f, "_Ldense", None)
+    assert f._Ldense is None and f._tri is not None
     rhs = rng.normal(size=40)
     assert np.max(np.abs(M @ ldlt_solve(f, rhs) - rhs)) <= 1e-8
     B = rng.normal(size=(40, 3))
     assert np.max(np.abs(M @ ldlt_solve(f, B) - B)) <= 1e-8
+    # an empty system stays on the dense path and solves to an empty vector
+    empty = ldlt_factorize(SparseMat.zeros(0, 0))
+    assert ldlt_solve(empty, np.zeros(0)).shape == (0,)
+    assert ldlt_solve(empty, np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_ldlt_superlu_reproduces_factor(rng, monkeypatch):
+    # natural order without pivoting: SuperLU's L is L itself and U = I
+    monkeypatch.setattr(LdltFactor, "_DENSE_SOLVE_MAX_DIM", 0)
+    M = _random_quasi_definite(rng, 30, 10)
+    f = ldlt_factorize(SparseMat(M))
+    tri = f._tri
+    assert np.array_equal(tri.perm_r, np.arange(40))
+    assert np.array_equal(tri.perm_c, np.arange(40))
+    assert np.array_equal(tri.U.toarray(), np.eye(40))
+    assert np.array_equal(tri.L.toarray(), f.L.toarray())
+
+
+def test_ldlt_concurrent_solves_share_one_factor(rng, monkeypatch):
+    # the factor is shared read-only: threads solving against it at once
+    # get the same answers as one thread
+    monkeypatch.setattr(LdltFactor, "_DENSE_SOLVE_MAX_DIM", 0)
+    f = ldlt_factorize(SparseMat(_random_quasi_definite(rng, 30, 10)))
+    rhs = [rng.normal(size=(40, 3)) for _ in range(6)]
+    expected = [ldlt_solve(f, b) for b in rhs]
+    mismatches = []
+
+    def work(i):
+        for _ in range(200):
+            if not np.array_equal(ldlt_solve(f, rhs[i]), expected[i]):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(rhs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_ldlt_superlu_residual_on_corridor_saddle():
+    # the f = 3 corridor MPC saddle matrix, above the dense cutoff
+    from conzopt import AdmmSettings, QpProblem, reduce_qp
+    from conzopt.builders import build_mpc
+    from conzopt.scenarios import corridor_mpc_scenario
+
+    Z, P, q, _ = build_mpc(corridor_mpc_scenario(3))
+    reduced = reduce_qp(QpProblem(P, q, Z), AdmmSettings())
+    f = reduced.factor_m
+    assert f.n == 3135 and f._tri is not None
+    M = reduced.M.tocsc()
+    rhs = np.random.default_rng(3).normal(size=(f.n, 2))
+    for b in (rhs[:, 0], rhs):
+        assert np.linalg.norm(M @ ldlt_solve(f, b) - b) <= 1e-9 * np.linalg.norm(b)
 
 
 def test_factor_keeps_cancellation_structurally():
-    # cancellation inside elimination keeps a structural slot in L
+    # L[2,1] = (1 - 1*1*1) / 1 cancels to exactly zero inside elimination:
+    # the symbolic pattern has 6 slots (3 below the diagonal, 3 on it),
+    # and the returned L prunes the cancelled one
     M = np.array([
         [1.0, 1.0, 1.0],
-        [1.0, 2.0, 2.0],
         [1.0, 2.0, 1.0],
+        [1.0, 1.0, 3.0],
     ])
     f = ldlt_factorize(SparseMat(M))
-    # L[2,1] = (2 - 1*1*2... ) pattern exists even if a value cancels to zero
     L = f.L
     assert L.shape == (3, 3)
+    assert L.nnz == 5
+    assert L.toarray()[2, 1] == 0.0
+    assert np.array_equal(f.D, [1.0, 1.0, 2.0])
     recon = L.toarray() @ np.diag(f.D) @ L.toarray().T
     assert np.allclose(recon, M, atol=1e-12)
