@@ -207,9 +207,11 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     """Run the splitting iterations on a batch of linear costs.
 
     All columns share the matrix factorizations and the constraint rhs;
-    each column carries its own iterates and stops (is snapshotted) at
-    its own convergence iteration, so results are identical to running
-    the columns one at a time.
+    each column carries its own iterates. A column leaves the batch at the
+    iteration where it converges or is certified infeasible, and its result
+    is built there; columns still running at max_iter end with
+    "iteration-limit". Every step treats each column on its own, so results
+    equal running the columns one at a time.
     """
     n_g, n_c = reduced.n_g, reduced.n_c
     q_cols = np.atleast_2d(np.asarray(q_tilde_cols, dtype=float))
@@ -228,78 +230,53 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     rhs = np.empty((n_g + n_c, m))
     rhs[n_g:] = reduced.Z.b[:, None]
     eps_p, eps_d = _thresholds(n_g, settings)
+    G, c = reduced.Z.G, reduced.Z.c
 
-    done = np.zeros(m, dtype=bool)
-    status = np.array(["iteration-limit"] * m, dtype=object)
-    iterations = np.full(m, settings.max_iter, dtype=int)
-    certificates = [None] * m
-    xi_out = np.zeros((n_g, m))
-    zeta_out = np.zeros((n_g, m))
-    u_out = np.zeros((n_g, m))
-    history_rp = []
-    history_rd = []
+    cols = np.arange(m)  # batch index of each running column
+    history = np.empty((0, 2, m))  # primal and dual residual norms per iteration
+    results = [None] * m
+
+    def leave(i, status, certificate=None):
+        # column i of the running batch stops at iteration k
+        results[cols[i]] = AdmmResult(
+            status=status,
+            x_star=G.matvec(zeta[:, i]) + c,
+            xi=xi[:, i].copy(),
+            zeta=zeta[:, i].copy(),
+            u=u[:, i].copy(),
+            iterations=k + 1,
+            certificate=certificate,
+            residuals=history[:k + 1, :, i].copy(),
+        )
 
     for k in range(settings.max_iter):
         rhs[:n_g] = -q_cols + rho * (zeta - u)
-        sol = ldlt_solve(reduced.factor_m, rhs)
-        xi = sol[:n_g]
+        xi = ldlt_solve(reduced.factor_m, rhs)[:n_g]
         zeta_prev = zeta
         zeta = np.clip(xi + u, -1.0, 1.0)
         u = u + xi - zeta
 
-        newly_infeasible = np.zeros(m, dtype=bool)
+        infeasible = np.zeros(len(cols), dtype=bool)
         if n_c > 0 and k % settings.k_inf == 0:
-            v, outside = _separation(reduced, xi, zeta)
-            newly_infeasible = outside & ~done
-            for j in np.nonzero(newly_infeasible)[0]:
-                status[j] = "infeasible"
-                certificates[j] = v[:, j].copy()
+            v, infeasible = _separation(reduced, xi, zeta)
 
-        rp = xi - zeta
-        rd = rho * (zeta - zeta_prev)
-        rp_norm, rd_norm = _residual_norms(rp, rd, settings.norm)
-        history_rp.append(rp_norm)
-        history_rd.append(rd_norm)
-        newly_converged = (rp_norm < eps_p) & (rd_norm < eps_d) & ~done & ~newly_infeasible
-        for j in np.nonzero(newly_converged)[0]:
-            status[j] = "converged"
-        finished = newly_infeasible | newly_converged
-        if np.any(finished):
-            idx = np.nonzero(finished)[0]
-            xi_out[:, idx] = xi[:, idx]
-            zeta_out[:, idx] = zeta[:, idx]
-            u_out[:, idx] = u[:, idx]
-            iterations[idx] = k + 1
-            done |= finished
-            if np.all(done):
-                break
-
-    live = ~done
-    if np.any(live):
-        idx = np.nonzero(live)[0]
-        xi_out[:, idx] = xi[:, idx]
-        zeta_out[:, idx] = zeta[:, idx]
-        u_out[:, idx] = u[:, idx]
-
-    all_rp = np.asarray(history_rp).reshape(-1, m)
-    all_rd = np.asarray(history_rd).reshape(-1, m)
-    results = []
-    G, c = reduced.Z.G, reduced.Z.c
-    for j in range(m):
-        zeta_j = zeta_out[:, j]
-        stop = iterations[j]
-        results.append(
-            AdmmResult(
-                status=str(status[j]),
-                x_star=G.matvec(zeta_j) + c,
-                xi=xi_out[:, j],
-                zeta=zeta_j,
-                u=u_out[:, j],
-                iterations=int(stop),
-                certificate=certificates[j],
-                residuals=np.column_stack([all_rp[:stop, j], all_rd[:stop, j]]),
-            )
-        )
+        if k == len(history):
+            history = np.concatenate([history, np.empty((k + 1, 2, len(cols)))])
+        history[k] = _residual_norms(xi - zeta, rho * (zeta - zeta_prev), settings.norm)
+        converged = (history[k, 0] < eps_p) & (history[k, 1] < eps_d) & ~infeasible
+        for i in np.nonzero(infeasible)[0]:
+            leave(i, "infeasible", v[:, i].copy())
+        for i in np.nonzero(converged)[0]:
+            leave(i, "converged")
+        keep = ~(infeasible | converged)
+        if not np.all(keep):
+            cols, q_cols, rhs = cols[keep], q_cols[:, keep], rhs[:, keep]
+            xi, zeta, u, history = xi[:, keep], zeta[:, keep], u[:, keep], history[:, :, keep]
+        if cols.size == 0:
+            break
+    else:
+        for i in range(len(cols)):
+            leave(i, "iteration-limit")
     return results
 
 
@@ -416,16 +393,7 @@ def support(Z: ConZono, d, settings: AdmmSettings = AdmmSettings(), reduced: Red
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if d.shape[0] != Z.dim:
         raise ValueError(f"direction of length {d.shape[0]} does not match set dimension {Z.dim}")
-    if reduced is None:
-        reduced = reduce_support(Z, settings)
-    result = admm_solve(reduced, settings, q_tilde=-Z.G.rmatvec(d))
-    if result.status == "infeasible":
-        raise EmptySetError("support of an empty set")
-    if result.status != "converged":
-        raise IndeterminateResultError(
-            f"support solve did not converge within {settings.max_iter} iterations"
-        )
-    return float(d @ result.x_star)
+    return float(support_batch(Z, d.reshape(-1, 1), settings, reduced)[0])
 
 
 def reduce_support(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> ReducedQp:

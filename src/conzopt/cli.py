@@ -91,7 +91,7 @@ def _obstacle(text):
 def _add_common(parser, horizon_type):
     parser.add_argument("--n", type=horizon_type, default=None, help="horizon / step-count override")
     parser.add_argument("--f", type=_positive_int, default=1, help="scenario scaling factor")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_nonnegative_int, default=0)
     parser.add_argument("--eps-primal", type=_positive_float, default=0.01)
     parser.add_argument("--eps-dual", type=_positive_float, default=0.01)
     parser.add_argument("--rho", type=_positive_float, default=1.0)
@@ -286,7 +286,7 @@ def build_parser():
 
     p_reach = sub.add_parser("reach", help="reachable-set size benchmark")
     _add_common(p_reach, _nonnegative_int)
-    p_reach.add_argument("--sweep", type=int, default=0, help="also sweep N=1..SWEEP")
+    p_reach.add_argument("--sweep", type=_nonnegative_int, default=0, help="also sweep N=1..SWEEP")
     p_reach.set_defaults(fn=cmd_reach)
 
     p_mpc = sub.add_parser("mpc", help="corridor tracking benchmark")

@@ -4,8 +4,7 @@ Compressed sparse-column matrices with strict nonzero accounting, the
 handful of structural operations needed by the set calculus (products,
 concatenation, block diagonals, block assembly), and an LDLT
 factorization in natural order for symmetric quasi-definite systems.
-Its back-solve is compiled: LAPACK dense triangular solves up to
-dimension 1000, a SuperLU triangular solve of the same L above.
+Its back-solve is compiled: two SuperLU triangular solves with L.
 
 ``SparseMat`` is the one place a matrix is canonicalized: construction
 makes at most one copy of its input and sums duplicates and drops
@@ -19,7 +18,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -195,30 +193,22 @@ class LdltFactor:
     """L D L^T factorization of a symmetric matrix in natural order.
 
     L is unit lower triangular with its unit diagonal stored, D holds the
-    mixed-sign pivots: M = L D L^T. L is the one copy of the factor that
-    the back-solve reads: up to dimension 1000 through a dense copy and
-    LAPACK triangular kernels, above it through SuperLU built from L in
-    natural order without pivoting, which reproduces L with U = I.
+    mixed-sign pivots: M = L D L^T. The back-solve reads L through SuperLU,
+    built once from L in natural order without pivoting, which reproduces
+    L with U = I; each column of a right-hand side is solved the same way
+    whatever the number of columns.
 
     The factor is immutable; solves allocate per-call scratch and are
     safe to run concurrently.
     """
 
-    # up to this dimension LAPACK's dense triangular solve beats SuperLU
-    # on the small multi-column right-hand sides of support queries
-    _DENSE_SOLVE_MAX_DIM = 1000
-
-    __slots__ = ("n", "L", "D", "_Ldense", "_tri")
+    __slots__ = ("n", "L", "D", "_tri")
 
     def __init__(self, L: SparseMat, D):
-        n = L.n_rows
-        dense = n <= self._DENSE_SOLVE_MAX_DIM
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", L.n_rows)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "_Ldense", L.toarray() if dense else None)
-        object.__setattr__(self, "_tri", None if dense else
-                           splu(L._m, permc_spec="NATURAL", diag_pivot_thresh=0.0))
+        object.__setattr__(self, "_tri", splu(L._m, permc_spec="NATURAL", diag_pivot_thresh=0.0))
 
     def __setattr__(self, name, value):
         raise AttributeError("LdltFactor is immutable")
@@ -359,16 +349,6 @@ def ldlt_solve(factor: LdltFactor, rhs):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != factor.n:
         raise ValueError(f"rhs of length {rhs.shape[0]} does not match system dimension {factor.n}")
-    d = factor.D if rhs.ndim == 1 else factor.D[:, None]
-    if factor._tri is not None:
-        x = factor._tri.solve(rhs)
-        x /= d
-        return factor._tri.solve(x, trans="T")
-    x = scipy.linalg.solve_triangular(
-        factor._Ldense, rhs, lower=True, unit_diagonal=True, check_finite=False,
-    )
-    x /= d
-    return scipy.linalg.solve_triangular(
-        factor._Ldense, x, lower=True, unit_diagonal=True, trans="T", check_finite=False,
-        overwrite_b=True,
-    )
+    x = factor._tri.solve(rhs)
+    x /= factor.D if rhs.ndim == 1 else factor.D[:, None]
+    return factor._tri.solve(x, trans="T")

@@ -21,12 +21,17 @@ from conzopt import (
     is_empty,
     make_regular_polygon,
     point_set,
+    reach_graph,
+    reach_sparse,
+    reach_standard,
     reduce_qp,
     reduce_support,
     support,
     support_batch,
     zonotope_support,
 )
+from conzopt.admm import _iterate_batch
+from conzopt.scenarios import second_order_scenario
 from oracles import (
     box_qp_oracle,
     certificate_is_valid,
@@ -331,12 +336,28 @@ def test_support_of_empty_set_raises():
 
 
 def test_support_batch_matches_single(rng):
-    Z = random_conzono(rng, 2)
-    D = rng.normal(size=(2, 6))
+    # a batch column leaves at its own stopping iteration and meets the same
+    # arithmetic as a lone column, so the results agree bit for bit
     settings = AdmmSettings(eps_primal=1e-6, eps_dual=1e-6, max_iter=50000)
-    vals = support_batch(Z, D, settings)
-    for j in range(6):
-        assert vals[j] == pytest.approx(support(Z, D[:, j], settings), abs=1e-9)
+    cases = [(random_conzono(rng, 2), rng.normal(size=(2, 6)))]
+    X0, sys = second_order_scenario()
+    dirs = np.random.default_rng(20240501).normal(size=(2, 32))
+    dirs /= np.linalg.norm(dirs, axis=0)
+    for recursion in (reach_standard, reach_graph, reach_sparse):
+        cases += [(recursion(X0, sys, N)[-1], dirs) for N in (1, 5)]
+    for Z, D in cases:
+        reduced = reduce_support(Z, settings)
+        q_cols = -Z.G.rmatvec(D)
+        batch = _iterate_batch(reduced, q_cols, settings)
+        for j in range(D.shape[1]):
+            single = admm_solve(reduced, settings, q_tilde=q_cols[:, j])
+            assert batch[j].status == single.status == "converged"
+            assert batch[j].iterations == single.iterations
+            assert np.array_equal(batch[j].x_star, single.x_star)
+    # a support value is d . x_star, so equal iterates give equal values
+    Z, D = cases[0]
+    assert support_batch(Z, D, settings).tolist() == [support(Z, d, settings) for d in D.T]
+    assert support_batch(Z, np.zeros((2, 0)), settings).shape == (0,)
 
 
 def test_support_matches_zonotope_closed_form(rng):

@@ -165,6 +165,8 @@ def test_bad_usage_exit_code():
     ["mpc", "--eps-dual", "inf"],
     ["mpc", "--horizon", "0"],
     ["mhe", "--max-iter", "0"],
+    ["mhe", "--seed", "-1"],
+    ["reach", "--sweep", "-3"],
 ])
 def test_invalid_values_exit_usage(argv, capsys):
     with pytest.raises(SystemExit) as exc:

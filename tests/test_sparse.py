@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conzopt import (
-    LdltFactor,
     RankDeficiencyError,
     SparseMat,
     blkdiag,
@@ -210,25 +209,23 @@ def test_ldlt_solve_dimension_error(rng):
         ldlt_solve(f, np.ones(2))
 
 
-def test_ldlt_sparse_solve_path(rng, monkeypatch):
-    # every dimension above the cutoff takes the SuperLU triangular solve
-    monkeypatch.setattr(LdltFactor, "_DENSE_SOLVE_MAX_DIM", 0)
+def test_ldlt_sparse_solve_path(rng):
+    # every dimension takes the SuperLU triangular solve
     M = _random_quasi_definite(rng, 30, 10)
     f = ldlt_factorize(SparseMat(M))
-    assert f._Ldense is None and f._tri is not None
+    assert f._tri is not None
     rhs = rng.normal(size=40)
     assert np.max(np.abs(M @ ldlt_solve(f, rhs) - rhs)) <= 1e-8
     B = rng.normal(size=(40, 3))
     assert np.max(np.abs(M @ ldlt_solve(f, B) - B)) <= 1e-8
-    # an empty system stays on the dense path and solves to an empty vector
+    # an empty system solves to an empty vector or block
     empty = ldlt_factorize(SparseMat.zeros(0, 0))
     assert ldlt_solve(empty, np.zeros(0)).shape == (0,)
     assert ldlt_solve(empty, np.zeros((0, 2))).shape == (0, 2)
 
 
-def test_ldlt_superlu_reproduces_factor(rng, monkeypatch):
+def test_ldlt_superlu_reproduces_factor(rng):
     # natural order without pivoting: SuperLU's L is L itself and U = I
-    monkeypatch.setattr(LdltFactor, "_DENSE_SOLVE_MAX_DIM", 0)
     M = _random_quasi_definite(rng, 30, 10)
     f = ldlt_factorize(SparseMat(M))
     tri = f._tri
@@ -238,10 +235,9 @@ def test_ldlt_superlu_reproduces_factor(rng, monkeypatch):
     assert np.array_equal(tri.L.toarray(), f.L.toarray())
 
 
-def test_ldlt_concurrent_solves_share_one_factor(rng, monkeypatch):
+def test_ldlt_concurrent_solves_share_one_factor(rng):
     # the factor is shared read-only: threads solving against it at once
     # get the same answers as one thread
-    monkeypatch.setattr(LdltFactor, "_DENSE_SOLVE_MAX_DIM", 0)
     f = ldlt_factorize(SparseMat(_random_quasi_definite(rng, 30, 10)))
     rhs = [rng.normal(size=(40, 3)) for _ in range(6)]
     expected = [ldlt_solve(f, b) for b in rhs]
