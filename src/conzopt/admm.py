@@ -54,14 +54,12 @@ class AdmmSettings:
     norm: str = "l2"
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.eps_primal <= 0 or self.eps_dual <= 0:
-            raise ValueError("convergence tolerances must be positive")
-        if self.k_inf < 1:
-            raise ValueError("k_inf must be at least 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        for name in ("rho", "eps_primal", "eps_dual"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("k_inf", "max_iter"):
+            if not isinstance(getattr(self, name), (int, np.integer)) or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
         if self.norm not in ("l2", "inf"):
             raise ValueError(f"unknown norm {self.norm!r}")
 

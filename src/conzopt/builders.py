@@ -15,10 +15,10 @@ import numpy as np
 
 from .admm import AdmmSettings, check_empty, bounding_box
 from .intervals import IntervalBox
-from .reach import LinearSystem, _fused_domain, _last_block, unroll
+from .reach import LinearSystem, _fused_domains, _last_block, unroll
 from .sets import ConZono, generalized_intersection, interval_to_zono, point_set
 from .sets import cartesian_product  # noqa: F401  (perfbench/tests patch it under this name)
-from .sparse import SparseMat, blkdiag, multiply
+from .sparse import SparseMat, blkdiag
 
 
 @dataclass(frozen=True)
@@ -176,16 +176,16 @@ def build_mhe(spec: MheSpec):
 
     The decision vector stacks the window-start state, each step's
     process noise, and each subsequent state. X_end is the set of states
-    consistent with the window data, read off by a linear map.
+    consistent with the window data, read off by a linear map. The G and A
+    of the fused domains, C^T R^-1 and C^T R^-1 C are built once per call.
     """
     sys, n_x, C = spec.sys, spec.sys.n_x, spec.sys.C
-    ct_rinv = multiply(C.T, spec.R_inv)
-    ct_rinv_c = multiply(ct_rinv, C)
+    ct_rinv = SparseMat(C._m.T @ spec.R_inv._m)
+    ct_rinv_c = SparseMat(ct_rinv._m @ C._m)
     steps, q_parts = [], [-spec.prior_info.matvec(spec.prior_estimate)]
-    for u, y in zip(spec.inputs, spec.measurements):
-        y = np.asarray(y, dtype=float)
-        steps.append((spec.W, _fused_domain(sys, spec.V, y), -sys.B.matvec(np.asarray(u, dtype=float))))
-        q_parts += [np.zeros(n_x), -ct_rinv.matvec(y)]
+    for u, y, D in zip(spec.inputs, spec.measurements, _fused_domains(sys, spec.V, spec.measurements)):
+        steps.append((spec.W, D, -sys.B.matvec(np.asarray(u, dtype=float))))
+        q_parts += [np.zeros(n_x), -ct_rinv.matvec(np.asarray(y, dtype=float))]
     Z = unroll(spec.prior_set, sys.A, SparseMat.eye(n_x), steps)
     P = blkdiag(spec.prior_info, *[spec.Q_inv, ct_rinv_c] * spec.N)
     return Z, P, np.concatenate(q_parts), _index(n_x, n_x, spec.N), _last_block(Z, n_x)

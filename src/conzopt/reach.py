@@ -30,7 +30,7 @@ from .sets import (
     generalized_intersection,
     minkowski_sum,
 )
-from .sparse import SparseMat, blkdiag, hcat
+from .sparse import SparseMat, blkdiag, block_triplets, hcat
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,8 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     coordinates of Z0, x_k = s_k for k >= 1, and ``steps`` is a sequence
     of (M_k, S_k, t_k). The constraint rows come in the order of the
     step-by-step composition: those of Z0, then per step those of M_k,
-    of S_k and the pin rows. Each matrix is assembled once.
+    of S_k and the pin rows. G and A are each one COO build from triplets placed
+    by index arithmetic, with F_m G_M once per distinct M_k.G and all F_x x_G from one product.
     """
     n_x = F_x.shape[0]
     if Z0.dim < n_x:
@@ -94,26 +95,39 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     # [F_x F_m -I] applied to the stacked centers gives the rhs of the pin rows
     dyn = sp.hstack([F_x._m, F_m._m, -sp.identity(n_x, format="csc")], format="csc")
     parts, b_parts = [Z0], [Z0.b]                 # the stacked sets; the rhs pieces
-    A_blocks = [(0, 0, Z0.A)]                     # (row offset, column offset, block)
+    A_blocks, neg_blocks, pin_at, fm_G = [(0, 0, Z0.A)], [], [], {}  # (row, col, block)s; F_m M.G by id
     n_rows, n_cols = Z0.n_c, Z0.n_g
     x_G, x_c, x_col = Z0.G._m[Z0.dim - n_x:], Z0.c[Z0.dim - n_x:], 0
     for M, S, t in steps:
         if (M.dim, S.dim, len(t)) != (F_m.shape[1], n_x, n_x):
             raise ValueError(f"step sets and target of dimensions {(M.dim, S.dim, len(t))} "
                              f"do not match {(F_m.shape[1], n_x, n_x)}")
+        if id(M.G) not in fm_G:
+            fm_G[id(M.G)] = F_m._m @ M.G._m
         s_col = n_cols + M.n_g
         pin_row = n_rows + M.n_c + S.n_c
         A_blocks += [(n_rows, n_cols, M.A), (n_rows + M.n_c, s_col, S.A),
-                     (pin_row, x_col, F_x._m @ x_G), (pin_row, n_cols, F_m._m @ M.G._m),
-                     (pin_row, s_col, -S.G._m)]
+                     (pin_row, n_cols, fm_G[id(M.G)])]
+        neg_blocks.append((pin_row, s_col, S.G))
+        pin_at.append((pin_row, x_col, x_G))
         b_parts += [M.b, S.b, t - dyn @ np.concatenate([x_c, M.c, S.c])]
         parts += [M, S]
         n_rows = pin_row + n_x
         n_cols = s_col + S.n_g
         x_G, x_c, x_col = S.G._m, S.c, s_col
 
+    triplets = [block_triplets(A_blocks)]
+    if pin_at:  # column block k of F_x [x_G_0 ... x_G_N-1] moves to step k's pin rows
+        rows, cols, vals = block_triplets(neg_blocks)
+        triplets.append((rows, cols, -vals))
+        pin_rows, x_cols, x_Gs = zip(*pin_at)
+        n = [G.shape[1] for G in x_Gs]
+        rows, cols, vals = block_triplets([(0, 0, F_x._m @ (x_Gs[0] if len(x_Gs) == 1 else sp.hstack(x_Gs)))])
+        k = np.repeat(np.arange(len(n)), n)[cols]
+        triplets.append((rows + np.array(pin_rows)[k], cols + (np.array(x_cols) - np.cumsum(n) + n)[k], vals))
+    rows, cols, vals = (np.concatenate(a) for a in zip(*triplets))
     return ConZono(blkdiag(*[Z.G for Z in parts]), np.concatenate([Z.c for Z in parts]),
-                   SparseMat.from_blocks(A_blocks, (n_rows, n_cols)), np.concatenate(b_parts))
+                   SparseMat.from_triplets(rows, cols, vals, (n_rows, n_cols)), np.concatenate(b_parts))
 
 
 def _last_block(Z: ConZono, n) -> ConZono:
@@ -216,17 +230,20 @@ def svse_step_sparse(Xk: ConZono, sys: LinearSystem, W: ConZono, V: ConZono, u, 
     if sys.C is None:
         raise ValueError("system has no measurement map")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    step = (W, _fused_domain(sys, V, y_next), -sys.B.matvec(u))
+    step = (W, _fused_domains(sys, V, [y_next])[0], -sys.B.matvec(u))
     pinned = unroll(Xk, sys.A, SparseMat.eye(sys.n_x), [step])
     return _last_block(pinned, sys.n_x)
 
 
-def _fused_domain(sys: LinearSystem, V: ConZono, y) -> ConZono:
-    """S intersected through C with (y - V): the states measurable as y."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != V.c.shape:
-        raise ValueError(f"measurement of length {y.shape[0]} does not match noise set dimension {V.dim}")
-    return generalized_intersection(sys.S, ConZono(-V.G, y - V.c, V.A, V.b), sys.C)
+def _fused_domains(sys: LinearSystem, V: ConZono, ys) -> list:
+    """S intersected through C with (y - V) for each measurement y; the sets share G and A."""
+    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
+    for y in ys:
+        if y.shape != V.c.shape:
+            raise ValueError(f"measurement of length {y.shape[0]} does not match noise set dimension {V.dim}")
+    D = generalized_intersection(sys.S, ConZono(-V.G, -V.c, V.A, V.b), sys.C)
+    b_head, C_cS = D.b[:D.n_c - V.dim], sys.C.matvec(sys.S.c)
+    return [ConZono(D.G, D.c, D.A, np.concatenate([b_head, (y - V.c) - C_cS])) for y in ys]
 
 
 @dataclass(frozen=True)

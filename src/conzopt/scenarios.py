@@ -123,6 +123,8 @@ def corridor_mpc_scenario(f=1, horizon=None) -> MpcSpec:
         raise ValueError("scale factor must be a positive integer")
     dt = 1.0 / f
     N = 55 * f if horizon is None else int(horizon)
+    if N < 1:
+        raise ValueError("horizon must be a positive integer")
 
     d_vec, path_x, path_y = _corridor_path(f)
     n_pts = len(d_vec)

@@ -81,11 +81,9 @@ class SparseMat:
     @classmethod
     def from_blocks(cls, blocks, shape):
         """Matrix of the given shape holding each (row, col, block) at that
-        offset; blocks may be SparseMat or scipy matrices."""
-        coos = [(r, c, (b._m if isinstance(b, SparseMat) else b).tocoo()) for r, c, b in blocks]
-        return cls.from_triplets(np.concatenate([m.row + r for r, _, m in coos]),
-                                 np.concatenate([m.col + c for _, c, m in coos]),
-                                 np.concatenate([m.data for _, _, m in coos]), shape)
+        offset, built by one COO step from ``block_triplets``; blocks may be
+        SparseMat or scipy matrices, and an empty list gives the zero matrix."""
+        return cls.from_triplets(*block_triplets(blocks), shape) if blocks else cls.zeros(*shape)
 
     @property
     def shape(self):
@@ -166,10 +164,25 @@ def multiply(a: SparseMat, b):
     return a.matvec(b)
 
 
+def block_triplets(blocks):
+    """(rows, cols, vals) of nonempty (row, col, block) triplets: column j of a block at
+    (r, c) becomes column c + j, its rows shifted by r; non-CSC blocks are converted first."""
+    r, c, mats = zip(*blocks)
+    mats = [m._m if isinstance(m, SparseMat) else m for m in mats]
+    mats = [m if m.format == "csc" else m.tocsc() for m in mats]
+    n = np.array([m.shape[1] for m in mats])
+    ends = np.cumsum(n)
+    # the concatenated indptrs step down between blocks; drop those steps
+    counts = np.delete(np.diff(np.concatenate([m.indptr for m in mats])), ends[:-1] + np.arange(len(n) - 1))
+    return (np.concatenate([m.indices for m in mats]) + np.repeat(np.repeat(r, n), counts),
+            np.repeat(np.repeat(np.asarray(c) - ends + n, n) + np.arange(ends[-1]), counts),
+            np.concatenate([m.data for m in mats]))
+
+
 def hcat(*mats):
     mats = [SparseMat(m) if not isinstance(m, SparseMat) else m for m in mats]
     rows = {m.n_rows for m in mats}
-    if len(rows) > 1:
+    if len(rows) != 1:
         raise ValueError(f"cannot hcat matrices with row counts {[m.shape for m in mats]}")
     return SparseMat(sp.hstack([m._m for m in mats], format="csc"))
 
@@ -177,16 +190,16 @@ def hcat(*mats):
 def vcat(*mats):
     mats = [SparseMat(m) if not isinstance(m, SparseMat) else m for m in mats]
     cols = {m.n_cols for m in mats}
-    if len(cols) > 1:
+    if len(cols) != 1:
         raise ValueError(f"cannot vcat matrices with column counts {[m.shape for m in mats]}")
     return SparseMat(sp.vstack([m._m for m in mats], format="csc"))
 
 
 def blkdiag(*mats):
+    """Block-diagonal matrix: ``from_blocks`` on the diagonal offsets."""
     mats = [SparseMat(m) if not isinstance(m, SparseMat) else m for m in mats]
-    if not mats:
-        return SparseMat.zeros(0, 0)
-    return SparseMat(sp.block_diag([m._m for m in mats], format="csc"))
+    offsets = np.cumsum([(0, 0)] + [m.shape for m in mats], axis=0)
+    return SparseMat.from_blocks([(r, c, m) for (r, c), m in zip(offsets, mats)], tuple(offsets[-1]))
 
 
 class LdltFactor:

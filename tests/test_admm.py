@@ -58,6 +58,21 @@ def interval_pair(a, b, c, d):
     )
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"rho": float("nan")}, {"rho": float("inf")}, {"rho": 0.0},
+    {"eps_primal": float("inf")}, {"eps_primal": float("nan")}, {"eps_dual": float("inf")},
+    {"eps_dual": -1e-3}, {"max_iter": 2.5}, {"max_iter": 0}, {"k_inf": 1.0}, {"k_inf": 0},
+])
+def test_settings_reject_invalid_values(kwargs):
+    with pytest.raises(ValueError):
+        AdmmSettings(**kwargs)
+
+
+def test_settings_accept_numpy_integers():
+    s = AdmmSettings(k_inf=np.int64(3), max_iter=np.int32(10))
+    assert (s.k_inf, s.max_iter) == (3, 10)
+
+
 # ---------------------------------------------------------------------------
 # reduction
 

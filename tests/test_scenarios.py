@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conzopt import AdmmSettings, ReachDims, predict_complexity
 from conzopt.scenarios import (
@@ -41,6 +42,12 @@ def test_corridor_counts_match_prediction():
     assert run.n_g == pred.n_g == 825
     assert run.n_c == pred.n_c == 220
     assert run.nnz_m > 0
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_corridor_rejects_nonpositive_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        corridor_mpc_scenario(1, horizon=horizon)
 
 
 def test_corridor_scaling_factor_dimensions():

@@ -52,6 +52,37 @@ def test_concat_dimension_errors():
         vcat(SparseMat(np.ones((2, 2))), SparseMat(np.ones((2, 3))))
 
 
+def test_from_blocks_matches_coo_assembly(rng):
+    csr = sp.random(3, 4, density=0.5, format="csr", random_state=1)
+    base = sp.random(4, 3, density=0.6, format="csc", random_state=2)
+    unsorted = sp.csc_matrix((np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]), np.array([0, 2, 2, 3])),
+                             shape=(3, 3))
+    zeros = sp.csc_matrix((np.array([0.0, 5.0, 0.0]), np.array([0, 1, 1]), np.array([0, 1, 3])),
+                          shape=(2, 2))
+    assert not unsorted.has_sorted_indices
+    blocks = [(0, 0, csr), (3, 1, base.T), (1, 5, unsorted), (5, 6, zeros), (4, 0, SparseMat(base))]
+    shape = (9, 9)
+    got = SparseMat.from_blocks(blocks, shape).tocsc()
+    coos = [b.tocoo() if sp.issparse(b) else b.tocsc().tocoo() for _, _, b in blocks]
+    ref = SparseMat(sp.coo_matrix((np.concatenate([m.data for m in coos]),
+                                   (np.concatenate([m.row + r for (r, _, _), m in zip(blocks, coos)]),
+                                    np.concatenate([m.col + c for (_, c, _), m in zip(blocks, coos)]))),
+                                  shape=shape)).tocsc()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+    assert got.indices.dtype == ref.indices.dtype
+
+
+def test_empty_block_lists():
+    z = SparseMat.from_blocks([], (2, 3))
+    assert z.shape == (2, 3) and z.nnz == 0
+    assert blkdiag().shape == (0, 0)
+    with pytest.raises(ValueError, match="hcat"):
+        hcat()
+    with pytest.raises(ValueError, match="vcat"):
+        vcat()
+
+
 def test_construction_prunes_zeros():
     a = SparseMat([[0.0, 1.0], [0.0, 0.0]])
     assert a.nnz == 1

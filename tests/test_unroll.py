@@ -8,13 +8,13 @@ projecting with ``affine_map`` produce one step at a time.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conzopt import (
     ConZono,
     MheSpec,
     SparseMat,
     affine_map,
-    blkdiag,
     build_mhe,
     build_mpc,
     cartesian_product,
@@ -61,23 +61,24 @@ def _assert_same_set(Z1, Z2):
 
 
 def test_build_mpc_matches_composition():
-    spec = corridor_mpc_scenario(1)
-    sys = spec.sys
-    n_x, n_u = sys.n_x, sys.n_u
-    Z_ref, P_ref, q_ref = point_set(spec.x0), spec.Q, np.zeros(n_x)
-    for k, S_k in enumerate(spec.state_sets, start=1):
-        Z_ref = _pin_step(Z_ref, sys.A, sys.B, sys.U, S_k, np.zeros(n_x))
-        weight = spec.Q_N if k == spec.N else spec.Q
-        P_ref = blkdiag(P_ref, spec.R, weight)
-        q_ref = np.concatenate([q_ref, np.zeros(n_u), -weight.matvec(spec.refs[k - 1])])
-    Z, P, q, idx = build_mpc(spec)
-    _assert_same_set(Z, Z_ref)
-    _assert_same_matrix(P, P_ref)
-    np.testing.assert_array_equal(q, q_ref)
-    stride = n_x + n_u
-    assert idx.x_offsets == tuple(k * stride for k in range(spec.N + 1))
-    assert idx.u_offsets == tuple(n_x + k * stride for k in range(spec.N))
-    assert idx.total_dim == Z.dim == n_x + spec.N * stride
+    for f in (1, 2):
+        spec = corridor_mpc_scenario(f)
+        sys = spec.sys
+        n_x, n_u = sys.n_x, sys.n_u
+        Z_ref, P_ref, q_ref = point_set(spec.x0), [spec.Q.tocsc()], np.zeros(n_x)
+        for k, S_k in enumerate(spec.state_sets, start=1):
+            Z_ref = _pin_step(Z_ref, sys.A, sys.B, sys.U, S_k, np.zeros(n_x))
+            weight = spec.Q_N if k == spec.N else spec.Q
+            P_ref += [spec.R.tocsc(), weight.tocsc()]
+            q_ref = np.concatenate([q_ref, np.zeros(n_u), -weight.matvec(spec.refs[k - 1])])
+        Z, P, q, idx = build_mpc(spec)
+        _assert_same_set(Z, Z_ref)
+        _assert_same_matrix(P, SparseMat(sp.block_diag(P_ref)))
+        np.testing.assert_array_equal(q, q_ref)
+        stride = n_x + n_u
+        assert idx.x_offsets == tuple(k * stride for k in range(spec.N + 1))
+        assert idx.u_offsets == tuple(n_x + k * stride for k in range(spec.N))
+        assert idx.total_dim == Z.dim == n_x + spec.N * stride
 
 
 def test_build_mhe_full_window_matches_composition():
@@ -95,17 +96,17 @@ def test_build_mhe_full_window_matches_composition():
     n_x = sys.n_x
     ct_rinv = sys.C.T @ sc.R_inv
     neg_v = affine_map(SparseMat.eye(4, -1.0), sc.V)
-    Z_ref, P_ref = sc.X_init, sc.prior_info
+    Z_ref, P_ref = sc.X_init, [sc.prior_info.tocsc()]
     q_ref = -sc.prior_info.matvec(spec.prior_estimate)
     for u, y in zip(inputs, meas):
         s_fused = generalized_intersection(sys.S, affine_map(SparseMat.eye(4), neg_v, y), sys.C)
         Z_ref = _pin_step(Z_ref, sys.A, SparseMat.eye(n_x), sc.W, s_fused, -sys.B.matvec(u))
-        P_ref = blkdiag(P_ref, sc.Q_inv, ct_rinv @ sys.C)
+        P_ref += [sc.Q_inv.tocsc(), (ct_rinv @ sys.C).tocsc()]
         q_ref = np.concatenate([q_ref, np.zeros(n_x), -ct_rinv.matvec(y)])
     Z, P, q, idx, X_end = build_mhe(spec)
     _assert_same_set(Z, Z_ref)
     _assert_same_set(X_end, _last(Z_ref, n_x))
-    _assert_same_matrix(P, P_ref)
+    _assert_same_matrix(P, SparseMat(sp.block_diag(P_ref)))
     np.testing.assert_array_equal(q, q_ref)
     assert idx.x_offsets == tuple(2 * n_x * k for k in range(N + 1))
     assert idx.total_dim == Z.dim
@@ -164,6 +165,26 @@ def test_unroll_matches_composition_on_constrained_sets(rng):
     Z_ref = Z0
     for M, S, t in steps:
         Z_ref = _pin_step(Z_ref, F_x, F_m, M, S, t)
+    _assert_same_set(unroll(Z0, F_x, F_m, steps), Z_ref)
+
+
+def test_unroll_reuses_products_keyed_on_the_right_objects(rng):
+    # two M sets alternate, and the S sets share one G and one A object
+    # while their c and b differ: every reused product must match its step
+    def conzono(dim, n_g, n_c):
+        G = rng.normal(size=(dim, n_g)) * (rng.random((dim, n_g)) < 0.6)
+        return ConZono(SparseMat(G), rng.normal(size=dim),
+                       SparseMat(rng.normal(size=(n_c, n_g))), rng.normal(size=n_c))
+
+    F_x, F_m = SparseMat(rng.normal(size=(2, 2))), SparseMat(rng.normal(size=(2, 3)))
+    Z0 = conzono(4, 3, 1)
+    Ms = [conzono(3, 3, 1), conzono(3, 4, 2)]
+    S = conzono(2, 4, 2)
+    steps = [(Ms[k % 2], ConZono(S.G, rng.normal(size=2), S.A, rng.normal(size=2)), rng.normal(size=2))
+             for k in range(5)]
+    Z_ref = Z0
+    for M, S_k, t in steps:
+        Z_ref = _pin_step(Z_ref, F_x, F_m, M, S_k, t)
     _assert_same_set(unroll(Z0, F_x, F_m, steps), Z_ref)
 
 
