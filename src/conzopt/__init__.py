@@ -2,9 +2,9 @@
 
 Set calculus for zonotopes and constrained zonotopes, reachability
 recursions that keep the defining matrices sparse, an operator-splitting
-QP solver over those sets with exact emptiness certification, and
-builders for predictive-control, estimation, and safety-verification
-problems.
+QP solver over those sets with an emptiness certificate (a separating
+vector tested in floating point as computed), and builders for
+predictive-control, estimation, and safety-verification problems.
 """
 
 from .admm import (

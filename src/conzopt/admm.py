@@ -7,9 +7,11 @@ equality-constrained quadratic solve against a box clamp; because the
 factors are normalized to [-1, 1], no preconditioning is applied.
 
 Emptiness of the affine/box intersection is certified by one check,
-shared by the iteration loop and ``infeasibility_check``: the iterate
-gap zeta - xi is projected onto the row space of the constraints, and
-the projection v separates the two sets when its inner product with the
+shared by the iteration loop and ``infeasibility_check``: one solve with
+the saddle factor, the only factorization a problem needs, maps the
+iterate gap zeta - xi to its H-weighted projection v onto the row space
+of the constraints (H = P~ + rho I; the Euclidean projection when
+P~ = sigma I). v separates the two sets when its inner product with the
 affine point xi falls strictly outside [-||v||_1, ||v||_1], its range
 over the box. The test compares floating-point values as computed.
 """
@@ -86,16 +88,16 @@ class QpProblem:
 
 
 class ReducedQp:
-    """Factor-space problem data with cached factorizations.
+    """Factor-space problem data with its one factorization.
 
-    Holds P~ = G^T P G, q~ = G^T (P c + q), the saddle matrix
-    [[P~ + rho I, A^T], [A, 0]] with its factorization, and the
-    factorization of A A^T used to project iterate differences onto the
-    constraint row space. Immutable and shareable across solves.
+    Holds P~ = G^T P G, q~ = G^T (P c + q) and the saddle matrix
+    M = [[P~ + rho I, A^T], [A, 0]] with its factorization, which both the
+    iterations and the certificate projection solve with. Raises
+    ConstraintRankError when A is not full row rank. Immutable and
+    shareable across solves.
     """
 
-    __slots__ = ("Z", "rho", "p_tilde", "q_tilde", "M", "factor_m", "factor_aat",
-                 "_A_csr", "_At_csc")
+    __slots__ = ("Z", "rho", "p_tilde", "q_tilde", "M", "factor_m")
 
     def __init__(self, Z, rho, p_tilde, q_tilde):
         n_g, n_c = Z.n_g, Z.n_c
@@ -104,7 +106,6 @@ class ReducedQp:
         M = SparseMat.from_blocks([(0, 0, p_rho), (0, n_g, A.T), (n_g, 0, A)], (n_g + n_c,) * 2)
         try:
             factor_m = ldlt_factorize(M)
-            factor_aat = ldlt_factorize(SparseMat(A @ A.T)) if n_c > 0 else None
         except RankDeficiencyError as err:
             raise ConstraintRankError(
                 "constraint matrix is not full row rank (pivot "
@@ -117,11 +118,6 @@ class ReducedQp:
         object.__setattr__(self, "q_tilde", q_tilde)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "factor_m", factor_m)
-        object.__setattr__(self, "factor_aat", factor_aat)
-        # prebuilt operators for the certificate projection; the transpose is a view
-        A_csr = A.tocsr()
-        object.__setattr__(self, "_A_csr", A_csr)
-        object.__setattr__(self, "_At_csc", A_csr.T)
 
     def __setattr__(self, name, value):
         raise AttributeError("ReducedQp is immutable")
@@ -202,9 +198,9 @@ def _thresholds(n_g, settings):
 
 
 def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, warm=None):
-    """Run the splitting iterations on a batch of linear costs.
+    """Run the splitting iterations on linear costs, one per column of an n_G-row array.
 
-    All columns share the matrix factorizations and the constraint rhs;
+    All columns share the saddle factorization and the constraint rhs;
     each column carries its own iterates. A column leaves the batch at the
     iteration where it converges or is certified infeasible, and its result
     is built there; columns still running at max_iter end with
@@ -212,9 +208,9 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     equal running the columns one at a time.
     """
     n_g, n_c = reduced.n_g, reduced.n_c
-    q_cols = np.atleast_2d(np.asarray(q_tilde_cols, dtype=float))
+    q_cols = np.asarray(q_tilde_cols, dtype=float)
     if q_cols.shape[0] != n_g:
-        q_cols = q_cols.T
+        raise ValueError(f"linear cost of length {q_cols.shape[0]} does not match {n_g} factors")
     m = q_cols.shape[1]
     rho = settings.rho
 
@@ -283,7 +279,7 @@ def admm_solve(reduced: ReducedQp, settings: AdmmSettings = AdmmSettings(),
     """Solve the reduced problem; optionally override the linear cost.
 
     warm seeds the (xi, zeta, u) iterates from a previous result so
-    repeated solves against the same factorizations can resume.
+    repeated solves against the same factorization can resume.
     """
     q = reduced.q_tilde if q_tilde is None else np.asarray(q_tilde, dtype=float)
     return _iterate_batch(reduced, q.reshape(-1, 1), settings, warm=warm)[0]
@@ -292,13 +288,15 @@ def admm_solve(reduced: ReducedQp, settings: AdmmSettings = AdmmSettings(),
 def _separation(reduced: ReducedQp, xi, zeta):
     """The certificate check on a batch of iterate pairs (one per column).
 
-    Returns the projections v of zeta - xi onto the constraint row space
-    and, per column, whether v . xi (xi satisfies the constraint rows)
-    lies strictly outside [-||v||_1, ||v||_1], the range of v over the
-    unit box.
+    One solve M [x; y] = [zeta - xi; 0] gives v = A^T y = zeta - xi - H x
+    with A x = 0: the H-weighted projection of zeta - xi onto the
+    constraint row space (the Euclidean one when H is a multiple of I).
+    Returns v and, per column, whether v . xi (xi satisfies the constraint
+    rows) lies strictly outside [-||v||_1, ||v||_1], the range of v over
+    the unit box.
     """
-    y = ldlt_solve(reduced.factor_aat, reduced._A_csr @ (zeta - xi))
-    v = reduced._At_csc @ y
+    rhs = np.vstack([zeta - xi, np.zeros((reduced.n_c, xi.shape[1]))])
+    v = reduced.Z.A.rmatvec(ldlt_solve(reduced.factor_m, rhs)[reduced.n_g:])
     vals = np.einsum("ij,ij->j", v, xi)
     radius = np.sum(np.abs(v), axis=0)
     return v, (vals < -radius) | (vals > radius)
@@ -386,7 +384,7 @@ def support(Z: ConZono, d, settings: AdmmSettings = AdmmSettings(), reduced: Red
     """Support value max_{z in Z} <z, d> computed by the splitting solver.
 
     A prebuilt zero-cost ReducedQp may be supplied to reuse
-    factorizations across directions.
+    its factorization across directions.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if d.shape[0] != Z.dim:

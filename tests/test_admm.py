@@ -24,13 +24,14 @@ from conzopt import (
     reach_graph,
     reach_sparse,
     reach_standard,
+    reduce_feasibility,
     reduce_qp,
     reduce_support,
     support,
     support_batch,
     zonotope_support,
 )
-from conzopt.admm import _iterate_batch
+from conzopt.admm import _iterate_batch, _separation
 from conzopt.scenarios import second_order_scenario
 from oracles import (
     box_qp_oracle,
@@ -130,6 +131,56 @@ def test_reduce_flags_redundant_constraints():
         reduce_qp(QpProblem(SparseMat.eye(2), np.zeros(2), Z))
 
 
+def _reductions(Z):
+    # one ReducedQp per mode: QP with a diagonal cost that is not a multiple of I
+    # in factor space, feasibility, and support
+    P = SparseMat(np.diag(np.linspace(0.5, 3.0, Z.dim)))
+    return [lambda: reduce_qp(QpProblem(P, np.ones(Z.dim), Z)),
+            lambda: reduce_feasibility(Z), lambda: reduce_support(Z)]
+
+
+def test_reduced_qp_factors_only_the_saddle_matrix(rng, monkeypatch):
+    import conzopt.admm as admm_module
+
+    factored = []
+    real = admm_module.ldlt_factorize
+    monkeypatch.setattr(admm_module, "ldlt_factorize", lambda m: factored.append(m) or real(m))
+    for Z in (unit_box(3), random_conzono(rng, 3)):
+        for reduce in _reductions(Z):
+            factored.clear()
+            red = reduce()
+            assert len(factored) == 1
+            assert factored[0] is red.M
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]],                      # duplicated
+    [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [-2.0, -4.0, 0.0]],   # scaled
+    [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]],     # summed
+])
+def test_dependent_rows_raise_rank_error_from_every_reduction(rows):
+    A = np.array(rows)
+    Z = ConZono(SparseMat.eye(3), np.zeros(3), SparseMat(A), A @ np.array([0.1, -0.2, 0.3]))
+    for reduce in _reductions(Z):
+        with pytest.raises(ConstraintRankError, match="pivot"):
+            reduce()
+
+
+def test_separation_is_euclidean_projection_for_scalar_cost(rng):
+    # feasibility (H = (1 + rho) I) and support (H = rho I): the H-weighted
+    # projection from the saddle solve is the least-squares one
+    for settings in (AdmmSettings(), AdmmSettings(rho=0.3)):
+        for n in (2, 3, 4):
+            Z = random_conzono(rng, n)
+            A = Z.A.toarray()
+            xi, zeta = rng.normal(size=(2, Z.n_g, 5))
+            y, *_ = np.linalg.lstsq(A.T, zeta - xi, rcond=None)
+            expected = A.T @ y
+            for red in (reduce_feasibility(Z, settings), reduce_support(Z, settings)):
+                v, _ = _separation(red, xi, zeta)
+                assert np.max(np.abs(v - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
 # ---------------------------------------------------------------------------
 # solving
 
@@ -160,6 +211,13 @@ def test_converged_iterate_invariants(rng):
     assert np.max(np.abs(feas)) <= 1e-6 * (1.0 + np.max(np.abs(Z.b)))
     rp = np.linalg.norm(res.xi - res.zeta)
     assert rp < np.sqrt(Z.n_g) * 1e-6
+
+
+def test_admm_solve_rejects_cost_of_wrong_length():
+    red = reduce_support(unit_box(4))
+    for q in ([5.0], [5.0, 1.0], np.zeros(8)):
+        with pytest.raises(ValueError, match=f"length {len(q)} does not match 4"):
+            admm_solve(red, q_tilde=q)
 
 
 def test_deterministic_iterates(rng):
@@ -331,6 +389,27 @@ def test_random_empty_intersections_certified(rng):
         res = check_empty(Z, settings)
         assert res.status == "infeasible"
         assert certificate_is_valid(Z, res.certificate)
+
+
+def test_qp_mode_certificates_lie_in_row_space_and_separate(rng):
+    # a diagonal cost that is not a multiple of I makes the projection
+    # H-weighted; its certificate is still some A^T y and still separates
+    settings = AdmmSettings(k_inf=1, max_iter=1000)
+    for _ in range(10):
+        n = int(rng.integers(2, 4))
+        c1 = rng.normal(size=n)
+        direction = rng.normal(size=n)
+        direction /= np.max(np.abs(direction))
+        Z = generalized_intersection(shifted_box(c1), shifted_box(c1 + (2.5 + rng.random()) * direction))
+        P = SparseMat(np.diag(rng.uniform(0.2, 5.0, size=n)))
+        res = admm_solve(reduce_qp(QpProblem(P, rng.normal(size=n), Z)), settings)
+        assert res.status == "infeasible"
+        v = res.certificate
+        A = Z.A.toarray()
+        y, *_ = np.linalg.lstsq(A.T, v, rcond=None)
+        assert np.max(np.abs(A.T @ y - v)) <= 1e-10 * np.max(np.abs(v))
+        assert abs(v @ res.xi) > np.sum(np.abs(v))
+        assert certificate_is_valid(Z, v)
 
 
 # ---------------------------------------------------------------------------

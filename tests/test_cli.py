@@ -1,9 +1,5 @@
 import csv
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,9 +94,11 @@ def test_mpc_closed_loop_smoke(capsys):
     assert all(c["status"] == "converged" for c in doc["closed_loop"])
 
 
-def test_mhe_soundness_and_rms(capsys):
-    code, doc = run_cli(capsys, "mhe", "--n", "18", "--seed", "1")
+def test_mhe_soundness_and_rms(tmp_path, capsys):
+    code, doc = run_cli(capsys, "mhe", "--n", "18", "--seed", "1",
+                        "--out", str(tmp_path), "--format", "both")
     assert code == EXIT_OK
+    assert {f.name for f in tmp_path.iterdir()} == {"mhe.json", "mhe_records.csv"}
     assert all(doc["contained"])
     assert doc["rms"]["mhe_position"] < doc["rms"]["measurement_position"]
     assert len(doc["sets"]) == 18
@@ -177,16 +175,3 @@ def test_invalid_values_exit_usage(argv, capsys):
 
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_NO_CONVERGENCE, EXIT_SOUNDNESS, EXIT_USAGE) == (0, 2, 3, 64)
-
-
-def test_run_benchmarks_script_runs_from_a_checkout(tmp_path):
-    # no install and no PYTHONPATH: the script must find src/ on its own
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmarks.py"
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, str(script), "--out", str(out)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    expected = {f"{name}{suffix}" for name in ("reach", "mpc", "mhe", "verify")
-                for suffix in (".json", "_records.csv")}
-    assert {f.name for f in out.iterdir()} == expected
