@@ -39,7 +39,7 @@ from .builders import (
     safety_verify,
     stack_trajectory,
 )
-from .intervals import Interval, IntervalBox, interval_dot, symmetric_unit_box
+from .intervals import Interval, IntervalBox
 from .reach import (
     ComplexityPrediction,
     LinearSystem,

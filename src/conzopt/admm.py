@@ -44,6 +44,8 @@ class IndeterminateResultError(RuntimeError):
 class AdmmSettings:
     """Penalty, stopping tolerances, and certificate cadence.
 
+    rho is read only when a problem is reduced: it is built into the
+    saddle factor, and every solve with that factor iterates with it.
     norm selects the stopping test: "l2" compares residual two-norms
     against sqrt(n) * eps, "inf" compares max-norms against eps.
     """
@@ -212,7 +214,7 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     if q_cols.shape[0] != n_g:
         raise ValueError(f"linear cost of length {q_cols.shape[0]} does not match {n_g} factors")
     m = q_cols.shape[1]
-    rho = settings.rho
+    rho = reduced.rho
 
     if warm is None:
         xi = np.zeros((n_g, m))
@@ -278,8 +280,10 @@ def admm_solve(reduced: ReducedQp, settings: AdmmSettings = AdmmSettings(),
                q_tilde=None, warm=None) -> AdmmResult:
     """Solve the reduced problem; optionally override the linear cost.
 
-    warm seeds the (xi, zeta, u) iterates from a previous result so
-    repeated solves against the same factorization can resume.
+    The penalty is the one the problem was reduced with (reduced.rho);
+    settings supplies the tolerances, certificate cadence and iteration
+    limit. warm seeds the (xi, zeta, u) iterates from a previous result
+    so repeated solves against the same factorization can resume.
     """
     q = reduced.q_tilde if q_tilde is None else np.asarray(q_tilde, dtype=float)
     return _iterate_batch(reduced, q.reshape(-1, 1), settings, warm=warm)[0]
@@ -380,16 +384,12 @@ def contains_point(Z: ConZono, x, settings: AdmmSettings = AdmmSettings()) -> bo
     return not is_empty(augmented, settings)
 
 
-def support(Z: ConZono, d, settings: AdmmSettings = AdmmSettings(), reduced: ReducedQp = None) -> float:
-    """Support value max_{z in Z} <z, d> computed by the splitting solver.
-
-    A prebuilt zero-cost ReducedQp may be supplied to reuse
-    its factorization across directions.
-    """
+def support(Z: ConZono, d, settings: AdmmSettings = AdmmSettings()) -> float:
+    """Support value max_{z in Z} <z, d> computed by the splitting solver."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if d.shape[0] != Z.dim:
         raise ValueError(f"direction of length {d.shape[0]} does not match set dimension {Z.dim}")
-    return float(support_batch(Z, d.reshape(-1, 1), settings, reduced)[0])
+    return float(support_batch(Z, d.reshape(-1, 1), settings)[0])
 
 
 def reduce_support(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> ReducedQp:
@@ -397,19 +397,18 @@ def reduce_support(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> Reduc
     return ReducedQp(Z, settings.rho, SparseMat.zeros(Z.n_g, Z.n_g), np.zeros(Z.n_g))
 
 
-def support_batch(Z: ConZono, directions, settings: AdmmSettings = AdmmSettings(),
-                  reduced: ReducedQp = None):
-    """Support values for a stack of directions (one per column).
+def support_batch(Z: ConZono, directions, settings: AdmmSettings = AdmmSettings()):
+    """Support values for directions given as the columns of a Z.dim-row array.
 
-    Shares a single factorization across all directions.
+    All directions share one factorization of the zero-cost problem,
+    reduced with settings.rho. Raises ValueError when the array does not
+    have Z.dim rows; rows are never read as directions.
     """
-    D = np.atleast_2d(np.asarray(directions, dtype=float))
-    if D.shape[0] != Z.dim:
-        D = D.T
-    if D.shape[0] != Z.dim:
-        raise ValueError(f"directions of dimension {D.shape} do not match set dimension {Z.dim}")
-    if reduced is None:
-        reduced = reduce_support(Z, settings)
+    D = np.asarray(directions, dtype=float)
+    if D.ndim != 2 or D.shape[0] != Z.dim:
+        raise ValueError(f"directions of shape {D.shape} do not match shape ({Z.dim}, m): "
+                         "one direction per column")
+    reduced = reduce_support(Z, settings)
     q_cols = -Z.G.rmatvec(D)
     results = _iterate_batch(reduced, q_cols, settings)
     values = np.empty(D.shape[1])

@@ -2,8 +2,9 @@
 
 Subcommands: reach | mpc | mhe | verify. Each emits one JSON document
 (stdout, and a file under --out when given) plus a flat CSV of bench
-records. Exit codes: 0 success, 2 solver non-convergence, 3 soundness
-violation, 64 bad usage.
+records. Exit codes: 0 success, 2 solver non-convergence (or a solver
+error: dependent constraint rows, an indeterminate or empty-set query),
+3 soundness violation, 64 bad usage.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmSettings
+from .admm import AdmmSettings, ConstraintRankError, EmptySetError, IndeterminateResultError
 from .reach import REACH_METHODS, ReachDims, predict_complexity
 from .scenarios import (
     corridor_mpc_scenario,
@@ -312,7 +313,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConstraintRankError, IndeterminateResultError, EmptySetError) as err:
+        print(f"{parser.prog} {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -135,20 +135,3 @@ class IntervalBox:
     def __repr__(self):
         parts = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.lo, self.hi))
         return f"IntervalBox({parts})"
-
-
-def interval_dot(v, box: IntervalBox) -> Interval:
-    """v^T [x] as the sum of v_i [x_i]."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != len(box):
-        raise ValueError(f"vector of length {v.shape[0]} does not match box of length {len(box)}")
-    # per-component alpha*[x] picks endpoints by sign of alpha
-    lo = np.where(v >= 0, v * box.lo, v * box.hi)
-    hi = np.where(v >= 0, v * box.hi, v * box.lo)
-    return Interval(float(np.sum(lo)), float(np.sum(hi)))
-
-
-def symmetric_unit_box(n) -> IntervalBox:
-    """[-1, 1]^n, the factor domain of a zonotope."""
-    ones = np.ones(n)
-    return IntervalBox(-ones, ones)

@@ -185,16 +185,16 @@ def corridor_mpc_scenario(f=1, horizon=None) -> MpcSpec:
     )
 
 
-def shift_mpc_spec(spec: MpcSpec, base: MpcSpec, k, x_now) -> MpcSpec:
-    """Receding-horizon update: step k of the base scenario with the
-    measured state as the new initial condition."""
-    n_base = base.N
+def shift_mpc_spec(base: MpcSpec, k, x_now, horizon) -> MpcSpec:
+    """Receding-horizon update: a horizon of the given length starting at
+    step k of the base scenario, with the measured state as the new
+    initial condition. Steps past base.N repeat its last set and ref."""
     # base.refs[j-1] belongs to absolute step j; horizon step i sits at k+i
-    refs = [base.refs[min(k + i - 1, n_base - 1)] for i in range(1, spec.N + 1)]
-    sets = [base.state_sets[min(k + i - 1, n_base - 1)] for i in range(1, spec.N + 1)]
+    steps = [min(k + i - 1, base.N - 1) for i in range(1, horizon + 1)]
     return MpcSpec(
-        sys=spec.sys, x0=np.asarray(x_now, dtype=float), refs=refs,
-        Q=spec.Q, R=spec.R, Q_N=spec.Q_N, N=spec.N, state_sets=sets,
+        sys=base.sys, x0=np.asarray(x_now, dtype=float), refs=[base.refs[j] for j in steps],
+        Q=base.Q, R=base.R, Q_N=base.Q_N, N=horizon,
+        state_sets=[base.state_sets[j] for j in steps],
     )
 
 
@@ -258,24 +258,22 @@ def run_mpc_closed_loop(base: MpcSpec, steps, horizon=None,
                         settings: AdmmSettings = AdmmSettings()):
     """Receding-horizon simulation on the nominal model.
 
-    Returns per-step results; the applied input is the first planned
-    one and the plant follows the nominal dynamics.
+    Step k plans over shift_mpc_spec(base, k, x, horizon), horizon
+    defaulting to base.N; a horizon reaching past base.N repeats the
+    last set and ref. Returns per-step (status, iterations, x, u); the
+    applied input u is the first planned one and the plant follows the
+    nominal dynamics.
     """
     horizon = base.N if horizon is None else int(horizon)
-    spec_k = MpcSpec(
-        sys=base.sys, x0=base.x0, refs=base.refs[:horizon], Q=base.Q, R=base.R,
-        Q_N=base.Q_N, N=horizon, state_sets=base.state_sets[:horizon],
-    )
     x = np.asarray(base.x0, dtype=float)
     outcomes = []
     for k in range(int(steps)):
-        spec_k = shift_mpc_spec(spec_k, base, k, x)
-        Z, P, q, idx = build_mpc(spec_k)
+        Z, P, q, idx = build_mpc(shift_mpc_spec(base, k, x, horizon))
         reduced = reduce_qp(QpProblem(P, q, Z), settings)
         result = admm_solve(reduced, settings)
-        xs, us = extract_trajectory(result.x_star, idx)
+        _, us = extract_trajectory(result.x_star, idx)
         outcomes.append((result.status, result.iterations, x.copy(), us[0].copy()))
-        x = spec_k.sys.A.matvec(x) + spec_k.sys.B.matvec(us[0])
+        x = base.sys.A.matvec(x) + base.sys.B.matvec(us[0])
     return outcomes
 
 

@@ -64,10 +64,6 @@ class ConZono:
     def n_c(self):
         return self.A.n_rows
 
-    @property
-    def is_zonotope(self):
-        return self.n_c == 0
-
     def point(self, xi):
         """Map a factor vector through the generators: G xi + c."""
         xi = np.asarray(xi, dtype=float)

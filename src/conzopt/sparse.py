@@ -226,9 +226,6 @@ class LdltFactor:
     def __setattr__(self, name, value):
         raise AttributeError("LdltFactor is immutable")
 
-    def solve(self, rhs):
-        return ldlt_solve(self, rhs)
-
 
 _symbolic_cache: dict = {}
 _symbolic_lock = threading.Lock()

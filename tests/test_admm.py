@@ -220,6 +220,22 @@ def test_admm_solve_rejects_cost_of_wrong_length():
             admm_solve(red, q_tilde=q)
 
 
+def test_solve_iterates_with_the_rho_of_its_factor():
+    # the factor was built with rho = 1; a solve passed rho = 0.1 still
+    # iterates with 1, so it matches the closed form and the rho = 1 solve
+    Z = make_regular_polygon(6, 1.0)
+    d = np.array([1.0, 0.3])
+    reduced = reduce_support(Z)
+    q = -Z.G.rmatvec(d)
+    other = admm_solve(reduced, AdmmSettings(rho=0.1, eps_primal=1e-8, eps_dual=1e-8), q_tilde=q)
+    same = admm_solve(reduced, AdmmSettings(rho=reduced.rho, eps_primal=1e-8, eps_dual=1e-8), q_tilde=q)
+    assert other.status == "converged"
+    assert d @ other.x_star == pytest.approx(zonotope_support(Z, d), abs=1e-6)
+    assert other.iterations == same.iterations
+    assert np.array_equal(other.x_star, same.x_star)
+    assert np.array_equal(other.residuals, same.residuals)
+
+
 def test_deterministic_iterates(rng):
     Z = random_conzono(rng, 3)
     prob = QpProblem(SparseMat.eye(3), np.array([0.3, -0.2, 0.1]), Z)
@@ -452,6 +468,18 @@ def test_support_batch_matches_single(rng):
     Z, D = cases[0]
     assert support_batch(Z, D, settings).tolist() == [support(Z, d, settings) for d in D.T]
     assert support_batch(Z, np.zeros((2, 0)), settings).shape == (0,)
+
+
+def test_support_batch_takes_directions_as_columns_only():
+    hexa = make_regular_polygon(6, 1.0)
+    for rows in (np.ones((3, 2)), np.ones(2), np.ones((2, 2, 1))):
+        with pytest.raises(ValueError, match=r"shape \(2, m\)"):
+            support_batch(hexa, rows)
+    # a square array is read by columns: (1, 0) and (0.3, 1)
+    settings = AdmmSettings(eps_primal=1e-8, eps_dual=1e-8)
+    D = np.array([[1.0, 0.3], [0.0, 1.0]])
+    values = support_batch(hexa, D, settings)
+    assert values == pytest.approx([zonotope_support(hexa, d) for d in D.T], abs=1e-6)
 
 
 def test_support_matches_zonotope_closed_form(rng):

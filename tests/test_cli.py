@@ -94,6 +94,12 @@ def test_mpc_closed_loop_smoke(capsys):
     assert all(c["status"] == "converged" for c in doc["closed_loop"])
 
 
+def test_mpc_closed_loop_horizon_past_base(capsys):
+    code, doc = run_cli(capsys, "mpc", "--n", "5", "--closed-loop", "1", "--horizon", "6")
+    assert code == EXIT_OK
+    assert [c["status"] for c in doc["closed_loop"]] == ["converged"]
+
+
 def test_mhe_soundness_and_rms(tmp_path, capsys):
     code, doc = run_cli(capsys, "mhe", "--n", "18", "--seed", "1",
                         "--out", str(tmp_path), "--format", "both")
@@ -135,6 +141,18 @@ def test_verify_obstacle_on_tube_fails(capsys):
     code = main(["verify", "--obstacle", "1,0"])
     capsys.readouterr()
     assert code == EXIT_NO_CONVERGENCE
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["mhe", "--n", "2", "--rho", "1e-300"], "ConstraintRankError"),
+    (["verify", "--n", "2", "--rho", "1e300"], "ConstraintRankError"),
+    (["mhe", "--n", "2", "--max-iter", "1"], "IndeterminateResultError"),
+])
+def test_solver_errors_exit_no_convergence(argv, error, capsys):
+    assert main(argv) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert error in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_bad_usage_exit_code():

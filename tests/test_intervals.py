@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conzopt import Interval, IntervalBox, interval_dot, symmetric_unit_box
+from conzopt import Interval, IntervalBox
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -30,25 +30,6 @@ def test_scale_sign_split():
     assert -2 * Interval(-1, 4) == Interval(-8, 2)
 
 
-def test_dot_hand_example():
-    box = IntervalBox([0.0, 0.0], [1.0, 1.0])
-    assert interval_dot([1.0, -2.0], box) == Interval(-2.0, 1.0)
-
-
-def test_dot_matches_summation_identity(rng):
-    for _ in range(50):
-        n = rng.integers(1, 6)
-        lo = rng.normal(size=n)
-        hi = lo + rng.random(size=n)
-        v = rng.normal(size=n)
-        box = IntervalBox(lo, hi)
-        total = Interval(0.0, 0.0)
-        for i in range(n):
-            total = total + box[i].scale(v[i])
-        d = interval_dot(v, box)
-        assert np.isclose(d.lo, total.lo) and np.isclose(d.hi, total.hi)
-
-
 def test_invalid_interval_rejected():
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
@@ -61,12 +42,6 @@ def test_box_membership():
     assert box.contains([0.0, 1.0])
     assert not box.contains([0.0, 2.5])
     assert box.contains(box.lo) and box.contains(box.hi)
-
-
-def test_symmetric_unit_box():
-    box = symmetric_unit_box(3)
-    assert np.array_equal(box.lo, [-1, -1, -1])
-    assert np.array_equal(box.hi, [1, 1, 1])
 
 
 def test_interval_contains_strict():

@@ -11,6 +11,7 @@ from conzopt.scenarios import (
     run_safety_scenario,
     safety_scenario,
     second_order_scenario,
+    shift_mpc_spec,
 )
 from oracles import lp_contains
 
@@ -71,6 +72,15 @@ def test_corridor_closed_loop_converges_every_step():
     outcomes = run_mpc_closed_loop(base, 20, settings=AdmmSettings(norm="inf"))
     assert len(outcomes) == 20
     assert all(status == "converged" for status, *_ in outcomes)
+
+
+def test_closed_loop_horizon_past_base_repeats_last_set():
+    base = corridor_mpc_scenario(1, horizon=5)
+    spec = shift_mpc_spec(base, 0, base.x0, 6)
+    assert spec.N == 6
+    assert spec.state_sets[5] is base.state_sets[4] and spec.refs[5] is base.refs[4]
+    outcomes = run_mpc_closed_loop(base, 1, horizon=6)
+    assert [status for status, *_ in outcomes] == ["converged"]
 
 
 def test_mhe_scenario_sets():
