@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .intervals import IntervalBox
 from .sets import ConZono
-from .sparse import RankDeficiencyError, SparseMat, ldlt_factorize, ldlt_solve
+from .sparse import RankDeficiencyError, SparseMat, block_triplets, ldlt_factorize, ldlt_solve
 
 
 class ConstraintRankError(ValueError):
@@ -103,9 +102,13 @@ class ReducedQp:
 
     def __init__(self, Z, rho, p_tilde, q_tilde):
         n_g, n_c = Z.n_g, Z.n_c
-        A = Z.A._m
-        p_rho = p_tilde._m + rho * sp.identity(n_g, format="csc")
-        M = SparseMat.from_blocks([(0, 0, p_rho), (0, n_g, A.T), (n_g, 0, A)], (n_g + n_c,) * 2)
+        # P~ and A placed by index arithmetic; A^T is A's triplets swapped, rho I the diagonal
+        rows, cols, vals = block_triplets([(0, 0, p_tilde), (n_g, 0, Z.A)])
+        a, diag = slice(p_tilde.nnz, None), np.arange(n_g)
+        M = SparseMat.from_triplets(np.concatenate([rows, cols[a], diag]),
+                                    np.concatenate([cols, rows[a], diag]),
+                                    np.concatenate([vals, vals[a], np.full(n_g, float(rho))]),
+                                    (n_g + n_c,) * 2)
         try:
             factor_m = ldlt_factorize(M)
         except RankDeficiencyError as err:
@@ -374,12 +377,14 @@ def contains_point(Z: ConZono, x, settings: AdmmSettings = AdmmSettings()) -> bo
     if x.shape[0] != Z.dim:
         raise ValueError(f"point of length {x.shape[0]} does not match set dimension {Z.dim}")
     offset = x - Z.c
-    g_csr = Z.G._m.tocsr()
-    flat = np.diff(g_csr.indptr) == 0
+    flat = np.bincount(Z.G._m.indices, minlength=Z.dim) == 0
     if np.any(offset[flat] != 0.0):
         return False
-    pin_rows = g_csr[~flat] if np.any(flat) else g_csr
-    A = SparseMat.from_blocks([(0, 0, Z.A), (Z.n_c, 0, pin_rows)], (Z.n_c + pin_rows.shape[0], Z.n_g))
+    # every entry of G sits in a kept row; its pin row is Z.n_c plus the number of kept rows above it
+    pin_row = Z.n_c - 1 + np.cumsum(~flat)
+    rows, cols, vals = block_triplets([(0, 0, Z.A), (0, 0, Z.G)])
+    rows[Z.A.nnz:] = pin_row[rows[Z.A.nnz:]]
+    A = SparseMat.from_triplets(rows, cols, vals, (Z.n_c + Z.dim - int(flat.sum()), Z.n_g))
     augmented = ConZono(Z.G, Z.c, A, np.concatenate([Z.b, offset[~flat]]))
     return not is_empty(augmented, settings)
 

@@ -85,17 +85,18 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     coordinates of Z0, x_k = s_k for k >= 1, and ``steps`` is a sequence
     of (M_k, S_k, t_k). The constraint rows come in the order of the
     step-by-step composition: those of Z0, then per step those of M_k,
-    of S_k and the pin rows. G and A are each one COO build from triplets placed
+    of S_k and the pin rows. G and A are each one ``from_triplets`` of triplets placed
     by index arithmetic, with F_m G_M once per distinct M_k.G and all F_x x_G from one product.
     """
     n_x = F_x.shape[0]
     if Z0.dim < n_x:
         raise ValueError(f"cannot multiply {F_x.shape} by the last {n_x} coordinates "
                          f"of a set of dimension {Z0.dim}")
-    # [F_x F_m -I] applied to the stacked centers gives the rhs of the pin rows
-    dyn = sp.hstack([F_x._m, F_m._m, -sp.identity(n_x, format="csc")], format="csc")
+    if F_m.shape[0] != n_x:
+        raise ValueError(f"maps of shapes {F_x.shape} and {F_m.shape} do not match")
     parts, b_parts = [Z0], [Z0.b]                 # the stacked sets; the rhs pieces
     A_blocks, neg_blocks, pin_at, fm_G = [(0, 0, Z0.A)], [], [], {}  # (row, col, block)s; F_m M.G by id
+    pin_c = []                                    # per step (t, x_c, c_M, c_S) for the pin rhs
     n_rows, n_cols = Z0.n_c, Z0.n_g
     x_G, x_c, x_col = Z0.G._m[Z0.dim - n_x:], Z0.c[Z0.dim - n_x:], 0
     for M, S, t in steps:
@@ -110,7 +111,8 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
                      (pin_row, n_cols, fm_G[id(M.G)])]
         neg_blocks.append((pin_row, s_col, S.G))
         pin_at.append((pin_row, x_col, x_G))
-        b_parts += [M.b, S.b, t - dyn @ np.concatenate([x_c, M.c, S.c])]
+        b_parts += [M.b, S.b, None]
+        pin_c.append((t, x_c, M.c, S.c))
         parts += [M, S]
         n_rows = pin_row + n_x
         n_cols = s_col + S.n_g
@@ -118,6 +120,7 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
 
     triplets = [block_triplets(A_blocks)]
     if pin_at:  # column block k of F_x [x_G_0 ... x_G_N-1] moves to step k's pin rows
+        b_parts[3::3] = _pin_rhs(F_x, F_m, pin_c)
         rows, cols, vals = block_triplets(neg_blocks)
         triplets.append((rows, cols, -vals))
         pin_rows, x_cols, x_Gs = zip(*pin_at)
@@ -128,6 +131,19 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     rows, cols, vals = (np.concatenate(a) for a in zip(*triplets))
     return ConZono(blkdiag(*[Z.G for Z in parts]), np.concatenate([Z.c for Z in parts]),
                    SparseMat.from_triplets(rows, cols, vals, (n_rows, n_cols)), np.concatenate(b_parts))
+
+
+def _pin_rhs(F_x, F_m, pin_c):
+    """t - [F_x F_m -I] [x_c; c_M; c_S] for each step's (t, x_c, c_M, c_S), as rows.
+
+    Each row adds its terms in the order a CSC matrix-vector product of
+    [F_x F_m -I] adds them: column by column, starting from zero.
+    """
+    rows, cols, vals = block_triplets([(0, 0, F_x), (0, F_x.shape[1], F_m)])   # in CSC order
+    t, x_c, c_M, c_S = (np.array(v, dtype=float) for v in zip(*pin_c))
+    y = np.zeros(t.shape)
+    np.add.at(y, (np.arange(len(t))[:, None], rows), vals * np.hstack([x_c, c_M])[:, cols])
+    return list(t - (y - c_S))
 
 
 def _last_block(Z: ConZono, n) -> ConZono:

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .intervals import Interval, IntervalBox
-from .sparse import SparseMat, blkdiag, hcat, multiply
+from .sparse import SparseMat, blkdiag, block_triplets, hcat, multiply
 
 
 class ConZono:
@@ -92,9 +92,8 @@ class ConZono:
         def triplet_mat(entries, shape):
             if not entries:
                 return SparseMat.zeros(*shape)
-            rows = [int(e[0]) for e in entries]
-            cols = [int(e[1]) for e in entries]
-            vals = [float(e[2]) for e in entries]
+            # indices go through unconverted: from_triplets rejects non-integral ones
+            rows, cols, vals = zip(*((e[0], e[1], float(e[2])) for e in entries))
             return SparseMat.from_triplets(rows, cols, vals, shape)
         return cls(
             triplet_mat(d["G"], (n, n_g)),
@@ -166,8 +165,10 @@ def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
         raise ValueError(f"map with {n_rows} rows does not land in a set of dimension {Z2.dim}")
     n_g, n_c = Z1.n_g + Z2.n_g, Z1.n_c + Z2.n_c
     G = SparseMat.from_blocks([(0, 0, Z1.G)], (Z1.dim, n_g))
-    A = SparseMat.from_blocks([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A),
-                               (n_c, 0, RG1), (n_c, Z1.n_g, -Z2.G._m)], (n_c + n_rows, n_g))
+    rows, cols, vals = block_triplets([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A),
+                                       (n_c, 0, RG1), (n_c, Z1.n_g, Z2.G)])
+    vals[len(vals) - Z2.G.nnz:] *= -1.0
+    A = SparseMat.from_triplets(rows, cols, vals, (n_c + n_rows, n_g))
     return ConZono(G, Z1.c, A, np.concatenate([Z1.b, Z2.b, Z2.c - Rc1]))
 
 

@@ -11,11 +11,21 @@ makes at most one copy of its input and sums duplicates and drops
 explicit zeros in place. Code inside the package composes the stored
 scipy matrices (``SparseMat._m``, never mutated) and wraps only the
 result, so each matrix it returns is built once.
+
+Assembly writes CSC arrays directly, with no COO object in between:
+``from_triplets`` orders validated (row, col, value) triplets by a
+stable sort on (column, row) and takes the column pointers from the
+per-column counts (counting assembly, as in CSparse's ``cs_compress``);
+``from_blocks``, ``hcat``, ``vcat`` and ``blkdiag`` place every block's
+CSC arrays by index arithmetic and go through it, and a dense input is
+read off its nonzero pattern in column order.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,14 +61,23 @@ class SparseMat:
         if isinstance(data, SparseMat):
             m = data._m
         else:
+            # the one copy: a float CSC matrix is copied, any other input is converted
             if not sp.issparse(data):
                 data = np.atleast_2d(np.asarray(data, dtype=float))
                 if shape is not None and data.size == 0:
                     data = data.reshape(shape)
-            # the one copy: a CSC input is copied, any other is converted
-            m = sp.csc_matrix(data, dtype=float, copy=True)
+                m = _dense_csc(data)
+            elif type(data) is sp.csc_matrix and data.dtype == np.float64:
+                # a shallow copy given fresh arrays: the matrix is already a valid CSC
+                # matrix, so scipy's constructor would only check it again
+                m, nnz = copy.copy(data), data.indptr[-1]
+                m.data, m.indices = data.data[:nnz].copy(), data.indices[:nnz].copy()
+                m.indptr = data.indptr.copy()
+            else:
+                m = sp.csc_matrix(data, dtype=float, copy=True)
             m.sum_duplicates()
-            m.eliminate_zeros()
+            if not m.data.all():
+                m.eliminate_zeros()
         if shape is not None and m.shape != tuple(shape):
             raise ValueError(f"data of shape {m.shape} does not match requested shape {tuple(shape)}")
         object.__setattr__(self, "_m", m)
@@ -72,17 +91,39 @@ class SparseMat:
 
     @classmethod
     def eye(cls, n, scale=1.0):
-        return cls(sp.identity(n, format="csc") * scale)
+        return cls(sp.csc_matrix((np.full(n, float(scale)), np.arange(n), np.arange(n + 1)), shape=(n, n)))
 
     @classmethod
     def from_triplets(cls, rows, cols, vals, shape):
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape))
+        """Matrix of the given shape with vals[k] at (rows[k], cols[k]).
+
+        Counting assembly: one stable sort on (column, row) puts the
+        entries in CSC order and the column pointers are the cumulative
+        per-column counts, so the CSC arrays are written directly and
+        handed to the constructor, which sums duplicates in the order
+        given and drops zeros. Indices must be integral (integer arrays,
+        or floats with integral values) and inside the shape; anything
+        else raises ValueError.
+        """
+        n_rows, n_cols = shape
+        rows, cols = _index_array(rows, n_rows, "row"), _index_array(cols, n_cols, "column")
+        vals = np.asarray(vals, dtype=float)
+        if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
+            raise ValueError(f"triplet arrays of shapes {rows.shape}, {cols.shape} and {vals.shape} "
+                             "are not one-dimensional of one length")
+        order = np.argsort(cols * n_rows + rows, kind="stable")
+        # scipy's own choice of index dtype, made here so that it checks no contents
+        idx = np.int32 if max(n_rows, n_cols, len(vals)) < 2**31 else np.int64
+        indptr = np.zeros(n_cols + 1, dtype=idx)
+        np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
+        return cls(sp.csc_matrix((vals[order], rows[order].astype(idx), indptr), shape=(n_rows, n_cols)))
 
     @classmethod
     def from_blocks(cls, blocks, shape):
         """Matrix of the given shape holding each (row, col, block) at that
-        offset, built by one COO step from ``block_triplets``; blocks may be
-        SparseMat or scipy matrices, and an empty list gives the zero matrix."""
+        offset: ``from_triplets`` on the ``block_triplets`` of the blocks;
+        blocks may be SparseMat or scipy matrices, and an empty list gives
+        the zero matrix."""
         return cls.from_triplets(*block_triplets(blocks), shape) if blocks else cls.zeros(*shape)
 
     @property
@@ -168,38 +209,59 @@ def block_triplets(blocks):
     """(rows, cols, vals) of nonempty (row, col, block) triplets: column j of a block at
     (r, c) becomes column c + j, its rows shifted by r; non-CSC blocks are converted first."""
     r, c, mats = zip(*blocks)
-    mats = [m._m if isinstance(m, SparseMat) else m for m in mats]
-    mats = [m if m.format == "csc" else m.tocsc() for m in mats]
-    n = np.array([m.shape[1] for m in mats])
-    ends = np.cumsum(n)
-    # the concatenated indptrs step down between blocks; drop those steps
-    counts = np.delete(np.diff(np.concatenate([m.indptr for m in mats])), ends[:-1] + np.arange(len(n) - 1))
-    return (np.concatenate([m.indices for m in mats]) + np.repeat(np.repeat(r, n), counts),
-            np.repeat(np.repeat(np.asarray(c) - ends + n, n) + np.arange(ends[-1]), counts),
+    mats = [m._m if isinstance(m, SparseMat) else m if m.format == "csc" else m.tocsc() for m in mats]
+    ptrs = [m.indptr for m in mats]
+    slots, nnz = [len(p) for p in ptrs], [int(p[-1]) for p in ptrs]
+    first_slot, first_entry = accumulate(slots[:-1], initial=0), accumulate(nnz[:-1], initial=0)
+    # the indptrs end to end, each shifted by the entries before it: a block's last
+    # slot equals the next block's first, so no entry falls between blocks
+    ptr = np.concatenate(ptrs) + np.repeat(list(first_entry), slots)
+    slot_col = np.repeat([cb - s for cb, s in zip(c, first_slot)], slots) + np.arange(len(ptr))
+    return (np.concatenate([m.indices for m in mats]) + np.repeat(r, nnz),
+            np.repeat(slot_col[:-1], np.diff(ptr)),
             np.concatenate([m.data for m in mats]))
+
+
+def _index_array(idx, bound, name):
+    """Indices as an integer array, or ValueError unless each is integral and in [0, bound)."""
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu" and idx.size and (idx.dtype.kind != "f" or not np.all(np.mod(idx, 1) == 0)):
+        raise ValueError(f"{name} indices must be integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= bound):
+        raise ValueError(f"{name} index out of range for a dimension of {bound}")
+    return idx.astype(np.int64, copy=False)
+
+
+def _dense_csc(a):
+    """CSC matrix of the nonzero entries of a 2-D float array, read in column order."""
+    col, row = np.nonzero(a.T)
+    indptr = np.zeros(a.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col, minlength=a.shape[1]), out=indptr[1:])
+    return sp.csc_matrix((a[row, col], row, indptr), shape=a.shape)
 
 
 def hcat(*mats):
     mats = [SparseMat(m) if not isinstance(m, SparseMat) else m for m in mats]
-    rows = {m.n_rows for m in mats}
-    if len(rows) != 1:
+    if len({m.n_rows for m in mats}) != 1:
         raise ValueError(f"cannot hcat matrices with row counts {[m.shape for m in mats]}")
-    return SparseMat(sp.hstack([m._m for m in mats], format="csc"))
+    cols = list(accumulate((m.n_cols for m in mats), initial=0))
+    return SparseMat.from_blocks([(0, c, m) for c, m in zip(cols, mats)], (mats[0].n_rows, cols[-1]))
 
 
 def vcat(*mats):
     mats = [SparseMat(m) if not isinstance(m, SparseMat) else m for m in mats]
-    cols = {m.n_cols for m in mats}
-    if len(cols) != 1:
+    if len({m.n_cols for m in mats}) != 1:
         raise ValueError(f"cannot vcat matrices with column counts {[m.shape for m in mats]}")
-    return SparseMat(sp.vstack([m._m for m in mats], format="csc"))
+    rows = list(accumulate((m.n_rows for m in mats), initial=0))
+    return SparseMat.from_blocks([(r, 0, m) for r, m in zip(rows, mats)], (rows[-1], mats[0].n_cols))
 
 
 def blkdiag(*mats):
     """Block-diagonal matrix: ``from_blocks`` on the diagonal offsets."""
     mats = [SparseMat(m) if not isinstance(m, SparseMat) else m for m in mats]
-    offsets = np.cumsum([(0, 0)] + [m.shape for m in mats], axis=0)
-    return SparseMat.from_blocks([(r, c, m) for (r, c), m in zip(offsets, mats)], tuple(offsets[-1]))
+    rows = list(accumulate((m.n_rows for m in mats), initial=0))
+    cols = list(accumulate((m.n_cols for m in mats), initial=0))
+    return SparseMat.from_blocks(list(zip(rows, cols, mats)), (rows[-1], cols[-1]))
 
 
 class LdltFactor:

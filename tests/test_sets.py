@@ -285,6 +285,20 @@ def test_json_schema_fields():
     assert json.loads(json.dumps(d)) == d
 
 
+def test_json_rejects_non_integral_indices():
+    d = unit_box().to_json_dict()
+    d["G"][1][0] = 0.5      # used to be truncated to row 0
+    with pytest.raises(ValueError, match="row indices must be integers"):
+        ConZono.from_json_dict(d)
+    d = unit_box().to_json_dict()
+    d["G"][0][1] = 1.25
+    with pytest.raises(ValueError, match="column indices must be integers"):
+        ConZono.from_json_dict(d)
+    d = unit_box().to_json_dict()
+    d["G"][1][0] = 1.0      # an integral float is an index
+    assert ConZono.from_json_dict(d).G.triplets() == [(0, 0, 1.0), (1, 1, 1.0)]
+
+
 def test_sets_are_immutable():
     Z = unit_box()
     with pytest.raises(AttributeError):

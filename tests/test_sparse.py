@@ -73,6 +73,37 @@ def test_from_blocks_matches_coo_assembly(rng):
     assert got.indices.dtype == ref.indices.dtype
 
 
+def test_from_triplets_rejects_non_integral_indices():
+    with pytest.raises(ValueError, match="row indices must be integers"):
+        SparseMat.from_triplets([0.5], [0], [1.0], (2, 2))   # used to land at (0, 0)
+    with pytest.raises(ValueError, match="column indices must be integers"):
+        SparseMat.from_triplets([0], [np.nan], [1.0], (2, 2))
+    with pytest.raises(ValueError, match="row indices must be integers"):
+        SparseMat.from_triplets(["1"], [0], [1.0], (2, 2))
+    ok = SparseMat.from_triplets(np.array([1.0, 0.0]), np.array([0, 1], dtype=np.uint8), [2.0, 3.0], (2, 2))
+    assert ok.triplets() == [(1, 0, 2.0), (0, 1, 3.0)]
+
+
+def test_from_triplets_rejects_negative_indices():
+    with pytest.raises(ValueError, match="row index out of range"):
+        SparseMat.from_triplets([-1], [0], [1.0], (2, 2))
+    with pytest.raises(ValueError, match="column index out of range"):
+        SparseMat.from_triplets([0], [-1], [1.0], (2, 2))
+
+
+def test_from_triplets_rejects_out_of_range_indices():
+    with pytest.raises(ValueError, match="row index out of range"):
+        SparseMat.from_triplets([0, 2], [0, 0], [1.0, 1.0], (2, 3))
+    with pytest.raises(ValueError, match="column index out of range"):
+        SparseMat.from_triplets([0], [3], [1.0], (2, 3))
+    with pytest.raises(ValueError, match="column index out of range"):
+        SparseMat.from_triplets([0], [0], [1.0], (2, 0))
+    with pytest.raises(ValueError, match="out of range"):
+        SparseMat.from_blocks([(1, 0, SparseMat.eye(2))], (2, 2))
+    with pytest.raises(ValueError, match="one length"):
+        SparseMat.from_triplets([0, 1], [0], [1.0], (2, 2))
+
+
 def test_empty_block_lists():
     z = SparseMat.from_blocks([], (2, 3))
     assert z.shape == (2, 3) and z.nnz == 0
@@ -130,6 +161,95 @@ def test_nnz_accounting(n, m, seed):
     assert hcat(a, SparseMat.zeros(n, 2)).nnz == a.nnz
     assert vcat(b, b).nnz == 2 * b.nnz
     assert (-a).nnz == a.nnz
+
+
+# dyadic values of small magnitude: every sum and product is exact, so any
+# order of summing duplicates gives the same bits
+_VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _raw_blocks(draw, n_rows=None, n_cols=None):
+    """A scipy or SparseMat block: raw CSC or CSR arrays holding duplicates, explicit
+    zeros and unsorted indices, a COO matrix, or a product whose entries may cancel."""
+    n_rows = draw(st.integers(0, 4)) if n_rows is None else n_rows
+    n_cols = draw(st.integers(0, 4)) if n_cols is None else n_cols
+    kind = draw(st.sampled_from(["csc", "csr", "coo", "product", "sparsemat"]))
+    if kind == "product":
+        inner = draw(st.integers(0, 3))
+        x, y = (np.array(draw(st.lists(_VALUES, min_size=r * c, max_size=r * c))).reshape(r, c)
+                for r, c in ((n_rows, inner), (inner, n_cols)))
+        return sp.csr_matrix(x) @ sp.csc_matrix(y)
+    cells = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), _VALUES)
+    entries = draw(st.lists(cells, max_size=10)) if n_rows and n_cols else []
+    rows, cols, vals = (np.array(v, dtype=d) for v, d in zip(zip(*entries) if entries else ([], [], []),
+                                                             (np.int32, np.int32, float)))
+    if kind in ("coo", "sparsemat"):
+        coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+        return coo if kind == "coo" else SparseMat(coo)
+    major, minor, n_major = (cols, rows, n_cols) if kind == "csc" else (rows, cols, n_rows)
+    order = np.argsort(major, kind="stable")     # grouped by major index, minor order as drawn
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(major, minlength=n_major))]).astype(np.int32)
+    cls = sp.csc_matrix if kind == "csc" else sp.csr_matrix
+    return cls((vals[order], minor[order], indptr), shape=(n_rows, n_cols))
+
+
+def _canonical(m):
+    """scipy's own canonical CSC form of a scipy matrix."""
+    m = sp.csc_matrix(m, copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
+
+
+def _assert_same_csc(got, ref):
+    got = got.tocsc()
+    assert got.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        assert getattr(got, name).dtype == getattr(ref, name).dtype
+
+
+def _scipy(m):
+    return m.tocsc() if isinstance(m, SparseMat) else m
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_from_triplets_matches_scipy_coo(n_rows, n_cols, data):
+    cells = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), _VALUES)
+    entries = data.draw(st.lists(cells, max_size=25)) if n_rows and n_cols else []
+    rows, cols, vals = ([e[i] for e in entries] for i in range(3))
+    ref = sp.coo_matrix((np.array(vals, dtype=float), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+                        shape=(n_rows, n_cols))
+    _assert_same_csc(SparseMat.from_triplets(rows, cols, vals, (n_rows, n_cols)), _canonical(ref.tocsc()))
+
+
+@given(st.integers(0, 8), st.integers(0, 8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_from_blocks_matches_scipy_coo(n_rows, n_cols, data):
+    blocks = []
+    for _ in range(data.draw(st.integers(0, 4))):   # placed anywhere, so blocks may overlap
+        b = data.draw(_raw_blocks(data.draw(st.integers(0, min(n_rows, 4))),
+                                  data.draw(st.integers(0, min(n_cols, 4)))))
+        blocks.append((data.draw(st.integers(0, n_rows - b.shape[0])),
+                       data.draw(st.integers(0, n_cols - b.shape[1])), b))
+    coos = [_scipy(b).tocoo() for _, _, b in blocks]
+    rows = np.concatenate([np.zeros(0, int)] + [m.row + r for (r, _, _), m in zip(blocks, coos)])
+    cols = np.concatenate([np.zeros(0, int)] + [m.col + c for (_, c, _), m in zip(blocks, coos)])
+    ref = sp.coo_matrix((np.concatenate([[]] + [m.data for m in coos]), (rows, cols)), shape=(n_rows, n_cols))
+    _assert_same_csc(SparseMat.from_blocks(blocks, (n_rows, n_cols)), _canonical(ref.tocsc()))
+
+
+@given(st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_concatenation_matches_scipy_stacks(n, data):
+    mats = data.draw(st.lists(_raw_blocks(), min_size=1, max_size=4))
+    _assert_same_csc(blkdiag(*mats), _canonical(sp.block_diag([_scipy(m) for m in mats], format="csc")))
+    same_rows = data.draw(st.lists(_raw_blocks(n_rows=n), min_size=1, max_size=4))
+    _assert_same_csc(hcat(*same_rows), _canonical(sp.hstack([_scipy(m) for m in same_rows], format="csc")))
+    same_cols = data.draw(st.lists(_raw_blocks(n_cols=n), min_size=1, max_size=4))
+    _assert_same_csc(vcat(*same_cols), _canonical(sp.vstack([_scipy(m) for m in same_cols], format="csc")))
 
 
 def _random_quasi_definite(rng, n_pos, n_con):
