@@ -84,8 +84,8 @@ def _positive_float(text):
 def _obstacle(text):
     """CX,CY[,R] as keyword arguments of safety_scenario."""
     parts = [float(p) for p in text.split(",")]
-    if len(parts) not in (2, 3) or not np.all(np.isfinite(parts)):
-        raise argparse.ArgumentTypeError(f"expected CX,CY[,R] as finite numbers, got {text!r}")
+    if len(parts) not in (2, 3) or not np.all(np.isfinite(parts)) or min(parts[2:], default=0.0) < 0:
+        raise argparse.ArgumentTypeError(f"expected CX,CY[,R] as finite numbers with R >= 0, got {text!r}")
     return dict(zip(("obstacle_center", "obstacle_inradius"), (tuple(parts[:2]), *parts[2:])))
 
 

@@ -90,9 +90,10 @@ class IntervalBox:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
-        if np.any(lo > hi):
-            bad = int(np.argmax(lo > hi))
-            raise ValueError(f"invalid box: lo > hi at component {bad}")
+        if not np.all(lo <= hi):
+            # a NaN bound fails lo <= hi, as it does in Interval
+            bad = int(np.argmin(lo <= hi))
+            raise ValueError(f"invalid box: not lo <= hi at component {bad}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

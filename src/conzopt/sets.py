@@ -186,14 +186,17 @@ def interval_to_zono(box: IntervalBox) -> ConZono:
 def make_regular_polygon(m, inradius, center=(0.0, 0.0)) -> ConZono:
     """Centrally symmetric regular m-gon (m even) as a planar zonotope.
 
-    The polygon has m vertices and inscribed-circle radius ``inradius``;
-    the m/2 generators are successive half edge vectors, the first
-    aligned with the +x axis.
+    The polygon has m vertices and inscribed-circle radius ``inradius``,
+    which must be finite and nonnegative (zero gives the point
+    ``center``); the m/2 generators are successive half edge vectors,
+    the first aligned with the +x axis.
     """
     m = int(m)
     if m < 4 or m % 2 != 0:
         raise ValueError(f"a centrally symmetric polygon needs an even vertex count >= 4, got {m}")
     inradius = float(inradius)
+    if not 0.0 <= inradius < np.inf:
+        raise ValueError(f"inradius must be finite and nonnegative, got {inradius}")
     half_edge = inradius * np.tan(np.pi / m)
     k = np.arange(m // 2)
     angles = 2.0 * np.pi * k / m

@@ -17,15 +17,25 @@ Assembly writes CSC arrays directly, with no COO object in between:
 stable sort on (column, row) and takes the column pointers from the
 per-column counts (counting assembly, as in CSparse's ``cs_compress``);
 ``from_blocks``, ``hcat``, ``vcat`` and ``blkdiag`` place every block's
-CSC arrays by index arithmetic and go through it, and a dense input is
-read off its nonzero pattern in column order.
+CSC arrays by index arithmetic, leaving out blocks with no entries, and
+go through it, and a dense input is read off its nonzero pattern in
+column order. Arrays built this way, and those of ``zeros``, ``eye`` and
+the factor L, reach the constructor as a ``_Csc``: it takes them as its
+own, with neither a copy nor scipy's validating constructor, which
+would only check them again.
+
+``ldlt_factorize`` reads the upper triangle off the sorted columns of M
+and writes L's unit diagonal into the factor's arrays, and
+``is_symmetric`` compares M's arrays with those of M^T in place when
+the two patterns agree, so a factorization builds no matrix besides L.
 """
 
 from __future__ import annotations
 
-import copy
+import operator
 import threading
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,18 +71,19 @@ class SparseMat:
         if isinstance(data, SparseMat):
             m = data._m
         else:
-            # the one copy: a float CSC matrix is copied, any other input is converted
-            if not sp.issparse(data):
+            # the one copy: a float CSC matrix is copied, any other input is converted,
+            # and arrays built for this matrix (a _Csc) are taken as they are
+            if type(data) is _Csc:
+                m = _csc(*data)
+            elif not sp.issparse(data):
                 data = np.atleast_2d(np.asarray(data, dtype=float))
                 if shape is not None and data.size == 0:
                     data = data.reshape(shape)
-                m = _dense_csc(data)
+                m = _csc(*_dense_csc(data))
             elif type(data) is sp.csc_matrix and data.dtype == np.float64:
-                # a shallow copy given fresh arrays: the matrix is already a valid CSC
-                # matrix, so scipy's constructor would only check it again
-                m, nnz = copy.copy(data), data.indptr[-1]
-                m.data, m.indices = data.data[:nnz].copy(), data.indices[:nnz].copy()
-                m.indptr = data.indptr.copy()
+                # fresh arrays of a valid CSC matrix: scipy's constructor would only check them again
+                nnz = data.indptr[-1]
+                m = _csc(data.data[:nnz].copy(), data.indices[:nnz].copy(), data.indptr.copy(), data.shape)
             else:
                 m = sp.csc_matrix(data, dtype=float, copy=True)
             m.sum_duplicates()
@@ -87,11 +98,15 @@ class SparseMat:
 
     @classmethod
     def zeros(cls, n_rows, n_cols):
-        return cls(sp.csc_matrix((n_rows, n_cols)))
+        n_rows, n_cols = _shape((n_rows, n_cols))
+        idx = _index_dtype(n_rows, n_cols)
+        return cls(_Csc(np.zeros(0), np.zeros(0, dtype=idx), np.zeros(n_cols + 1, dtype=idx), (n_rows, n_cols)))
 
     @classmethod
     def eye(cls, n, scale=1.0):
-        return cls(sp.csc_matrix((np.full(n, float(scale)), np.arange(n), np.arange(n + 1)), shape=(n, n)))
+        (n,) = _shape((n,))
+        diag = np.arange(n + 1, dtype=_index_dtype(n))
+        return cls(_Csc(np.full(n, float(scale)), diag[:-1].copy(), diag, (n, n)))
 
     @classmethod
     def from_triplets(cls, rows, cols, vals, shape):
@@ -105,26 +120,26 @@ class SparseMat:
         or floats with integral values) and inside the shape; anything
         else raises ValueError.
         """
-        n_rows, n_cols = shape
+        n_rows, n_cols = shape = _shape(shape)
         rows, cols = _index_array(rows, n_rows, "row"), _index_array(cols, n_cols, "column")
         vals = np.asarray(vals, dtype=float)
         if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
             raise ValueError(f"triplet arrays of shapes {rows.shape}, {cols.shape} and {vals.shape} "
                              "are not one-dimensional of one length")
         order = np.argsort(cols * n_rows + rows, kind="stable")
-        # scipy's own choice of index dtype, made here so that it checks no contents
-        idx = np.int32 if max(n_rows, n_cols, len(vals)) < 2**31 else np.int64
+        idx = _index_dtype(n_rows, n_cols, len(vals))
         indptr = np.zeros(n_cols + 1, dtype=idx)
         np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
-        return cls(sp.csc_matrix((vals[order], rows[order].astype(idx), indptr), shape=(n_rows, n_cols)))
+        return cls(_Csc(vals[order], rows[order].astype(idx, copy=False), indptr, shape))
 
     @classmethod
     def from_blocks(cls, blocks, shape):
         """Matrix of the given shape holding each (row, col, block) at that
         offset: ``from_triplets`` on the ``block_triplets`` of the blocks;
-        blocks may be SparseMat or scipy matrices, and an empty list gives
-        the zero matrix."""
-        return cls.from_triplets(*block_triplets(blocks), shape) if blocks else cls.zeros(*shape)
+        blocks may be SparseMat or scipy matrices, and an empty list, or
+        one of empty blocks only, gives the zero matrix."""
+        rows, cols, vals = block_triplets(blocks)
+        return cls.from_triplets(rows, cols, vals, shape) if len(vals) else cls.zeros(*shape)
 
     @property
     def shape(self):
@@ -181,12 +196,20 @@ class SparseMat:
         return float(np.max(np.abs(self._m.data))) if self.nnz else 0.0
 
     def is_symmetric(self, rel_tol=1e-12):
+        """Whether max|M - M^T| <= rel_tol (1 + max|M|).
+
+        When the pattern is symmetric, M^T's CSC arrays (those of M in CSR)
+        line up with M's, so the entries are compared in place; M - M^T is
+        formed only for an asymmetric pattern.
+        """
         if self.n_rows != self.n_cols:
             return False
-        diff = self._m - self._m.T
-        if diff.nnz == 0:
-            return True
-        return float(np.max(np.abs(diff.data))) <= rel_tol * (1.0 + self.max_abs())
+        m, t = self._m, self._m.tocsr()
+        if np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices):
+            gap = np.abs(m.data - t.data)
+        else:
+            gap = np.abs((m - m.T).data)
+        return not gap.size or float(gap.max()) <= rel_tol * (1.0 + self.max_abs())
 
     def __repr__(self):
         return f"SparseMat(shape={self.shape}, nnz={self.nnz})"
@@ -206,10 +229,15 @@ def multiply(a: SparseMat, b):
 
 
 def block_triplets(blocks):
-    """(rows, cols, vals) of nonempty (row, col, block) triplets: column j of a block at
-    (r, c) becomes column c + j, its rows shifted by r; non-CSC blocks are converted first."""
-    r, c, mats = zip(*blocks)
-    mats = [m._m if isinstance(m, SparseMat) else m if m.format == "csc" else m.tocsc() for m in mats]
+    """(rows, cols, vals) of (row, col, block) triplets: column j of a block at (r, c)
+    becomes column c + j, its rows shifted by r; non-CSC blocks are converted first
+    and blocks with no stored entries are left out."""
+    placed = [(r, c, m._m if isinstance(m, SparseMat) else m if m.format == "csc" else m.tocsc())
+              for r, c, m in blocks]
+    placed = [b for b in placed if b[2].indptr[-1]]
+    if not placed:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    r, c, mats = zip(*placed)
     ptrs = [m.indptr for m in mats]
     slots, nnz = [len(p) for p in ptrs], [int(p[-1]) for p in ptrs]
     first_slot, first_entry = accumulate(slots[:-1], initial=0), accumulate(nnz[:-1], initial=0)
@@ -220,6 +248,43 @@ def block_triplets(blocks):
     return (np.concatenate([m.indices for m in mats]) + np.repeat(r, nnz),
             np.repeat(slot_col[:-1], np.diff(ptr)),
             np.concatenate([m.data for m in mats]))
+
+
+class _Csc(NamedTuple):
+    """CSC arrays built for one new matrix, which takes them without a copy or a check:
+    ``indptr`` runs from 0 to ``len(indices)``, every index lies inside ``shape``,
+    and no other object holds the arrays. Duplicates and zeros may remain."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+# what scipy's constructor sets on a CSC matrix besides its arrays and shape, read off a
+# checked one; its cached format flags are left out, so each matrix finds its own
+_CSC_ATTRS = {k: v for k, v in vars(sp.csc_matrix((0, 0))).items()
+              if k not in ("data", "indices", "indptr", "_shape") and not k.startswith("_has_")}
+
+
+def _csc(data, indices, indptr, shape):
+    """scipy CSC matrix on the given arrays, made without scipy's validating constructor."""
+    m = sp.csc_matrix.__new__(sp.csc_matrix)
+    vars(m).update(_CSC_ATTRS, _shape=shape, data=data, indices=indices, indptr=indptr)
+    return m
+
+
+def _shape(dims):
+    """Dimensions as Python ints; TypeError unless integral, ValueError if negative."""
+    dims = tuple(operator.index(d) for d in dims)
+    if min(dims, default=0) < 0:
+        raise ValueError(f"invalid shape {dims}: dimensions must be nonnegative")
+    return dims
+
+
+def _index_dtype(*sizes):
+    """scipy's index dtype for a matrix whose dimensions and nnz are the given sizes."""
+    return np.int32 if max(sizes) < 2**31 else np.int64
 
 
 def _index_array(idx, bound, name):
@@ -233,11 +298,12 @@ def _index_array(idx, bound, name):
 
 
 def _dense_csc(a):
-    """CSC matrix of the nonzero entries of a 2-D float array, read in column order."""
+    """CSC arrays of the nonzero entries of a 2-D float array, read in column order."""
     col, row = np.nonzero(a.T)
-    indptr = np.zeros(a.shape[1] + 1, dtype=np.int64)
+    idx = _index_dtype(*a.shape, len(row))
+    indptr = np.zeros(a.shape[1] + 1, dtype=idx)
     np.cumsum(np.bincount(col, minlength=a.shape[1]), out=indptr[1:])
-    return sp.csc_matrix((a[row, col], row, indptr), shape=a.shape)
+    return _Csc(a[row, col], row.astype(idx), indptr, a.shape)
 
 
 def hcat(*mats):
@@ -354,11 +420,14 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
         raise ValueError("matrix is not symmetric within 1e-12 relative tolerance")
 
     n = m.n_rows
-    upper = sp.triu(m._m, format="csc")
-    upper.sort_indices()
-    Ap = upper.indptr.astype(np.int64)
-    Ai = upper.indices.astype(np.int64)
-    Ax = upper.data
+    # the upper triangle: in each sorted column of M, the rows up to the diagonal
+    Mp, Mi = m._m.indptr, m._m.indices
+    col = np.repeat(np.arange(n), np.diff(Mp))
+    upper = Mi <= col
+    Ap = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col[upper], minlength=n), out=Ap[1:])
+    Ai = Mi[upper].astype(np.int64, copy=False)
+    Ax = m._m.data[upper]
 
     threshold = _PIVOT_REL_TOL * (m.max_abs() if m.nnz else 1.0)
     parent, Lp = _symbolic(n, Ap, Ai)
@@ -408,8 +477,16 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
         if abs(D[k]) <= threshold:
             raise RankDeficiencyError(k, D[k])
 
-    lower = sp.csc_matrix((Lx, Li, Lp), shape=(n, n))
-    return LdltFactor(SparseMat(lower + sp.identity(n, format="csc")), D)
+    # L's arrays with the unit diagonal first in each column, above the sorted rows below it
+    idx = _index_dtype(n, Lp[-1] + n)
+    Lp_unit = (Lp + np.arange(n + 1)).astype(idx)
+    diag, below = Lp_unit[:-1], np.ones(Lp_unit[-1], dtype=bool)
+    below[diag] = False
+    Li_unit = np.empty(Lp_unit[-1], dtype=idx)
+    Li_unit[diag], Li_unit[below] = np.arange(n), Li
+    Lx_unit = np.ones(Lp_unit[-1])
+    Lx_unit[below] = Lx
+    return LdltFactor(SparseMat(_Csc(Lx_unit, Li_unit, Lp_unit, (n, n))), D)
 
 
 def ldlt_solve(factor: LdltFactor, rhs):

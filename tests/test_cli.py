@@ -143,6 +143,13 @@ def test_verify_obstacle_on_tube_fails(capsys):
     assert code == EXIT_NO_CONVERGENCE
 
 
+def test_verify_point_obstacle_certifies(capsys):
+    # R = 0 is a point obstacle, still clear of the tube at the default centre
+    code, doc = run_cli(capsys, "verify", "--n", "3", "--obstacle", "6,-5,0")
+    assert code == EXIT_OK
+    assert all(s["certified"] for s in doc["per_step"])
+
+
 @pytest.mark.parametrize("argv, error", [
     (["mhe", "--n", "2", "--rho", "1e-300"], "ConstraintRankError"),
     (["verify", "--n", "2", "--rho", "1e300"], "ConstraintRankError"),
@@ -170,6 +177,8 @@ def test_bad_usage_exit_code():
 @pytest.mark.parametrize("argv", [
     ["verify", "--obstacle", "a,b"],
     ["verify", "--obstacle", "1,2,3,4"],
+    ["verify", "--obstacle", "6,-5,-1"],
+    ["verify", "--obstacle", "6,-5,nan"],
     ["verify", "--n", "-1"],
     ["mpc", "--n", "0"],
     ["mhe", "--n", "0"],

@@ -37,6 +37,16 @@ def test_invalid_interval_rejected():
         IntervalBox([0.0, 3.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("lo, hi", [([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan]),
+                                    ([np.nan], [np.nan])])
+def test_nan_bounds_rejected_like_interval(lo, hi):
+    bad = int(np.argmax(np.isnan(lo) | np.isnan(hi)))
+    with pytest.raises(ValueError):
+        Interval(lo[bad], hi[bad])
+    with pytest.raises(ValueError, match=f"component {bad}"):
+        IntervalBox(lo, hi)
+
+
 def test_box_membership():
     box = IntervalBox([-1.0, 0.0], [1.0, 2.0])
     assert box.contains([0.0, 1.0])

@@ -208,6 +208,23 @@ def test_make_regular_polygon_rejects_odd():
         make_regular_polygon(2, 1.0)
 
 
+@pytest.mark.parametrize("inradius", [-1.0, -1e-300, np.nan, np.inf])
+def test_make_regular_polygon_rejects_bad_inradius(inradius):
+    with pytest.raises(ValueError, match="inradius"):
+        make_regular_polygon(6, inradius)
+
+
+def test_make_regular_polygon_zero_inradius_is_point():
+    p = make_regular_polygon(6, 0.0, center=(6.0, -5.0))
+    assert p.n_g == 3 and p.G.nnz == 0
+    assert zonotope_support(p, [1.0, 0.0]) == 6.0 and zonotope_support(p, [-1.0, 0.0]) == -6.0
+
+
+def test_interval_to_zono_rejects_nan_box():
+    with pytest.raises(ValueError):
+        interval_to_zono(IntervalBox([np.nan, 0.0], [1.0, 1.0]))
+
+
 def test_make_regular_polygon_center():
     p = make_regular_polygon(6, 2.0, center=(1.0, -1.0))
     assert np.array_equal(p.c, [1.0, -1.0])

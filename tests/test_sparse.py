@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 
@@ -8,15 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conzopt import (
+    ConZono,
+    MheSpec,
+    QpProblem,
     RankDeficiencyError,
     SparseMat,
     blkdiag,
+    build_mhe,
+    build_mpc,
+    generalized_intersection,
     hcat,
     ldlt_factorize,
     ldlt_solve,
     multiply,
+    reduce_feasibility,
+    reduce_qp,
+    unroll,
     vcat,
 )
+from conzopt.scenarios import corridor_mpc_scenario, mhe_scenario, safety_scenario
 from oracles import dense_ldlt
 
 
@@ -446,3 +457,203 @@ def test_factor_keeps_cancellation_structurally():
     assert np.array_equal(f.D, [1.0, 1.0, 2.0])
     recon = L.toarray() @ np.diag(f.D) @ L.toarray().T
     assert np.allclose(recon, M, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# every construction path returns canonical CSC arrays that it owns
+
+
+def _arrays(m):
+    if isinstance(m, SparseMat):
+        m = m._m
+    if sp.issparse(m):
+        return [m.data, m.indices, m.indptr] if m.format in ("csc", "csr") else [m.data, m.row, m.col]
+    return [np.asarray(m)]
+
+
+def _assert_canonical(m):
+    """Sorted, summed and zero-free CSC with int32 indices, its format flags true to its arrays."""
+    c = m._m
+    assert type(c) is sp.csc_matrix and c.data.dtype == np.float64
+    assert c.indices.dtype == c.indptr.dtype == np.int32
+    assert c.indptr[0] == 0 and len(c.indices) == len(c.data) == c.indptr[-1]
+    c.check_format(full_check=True)
+    assert c.data.all()
+    col = np.repeat(np.arange(c.shape[1]), np.diff(c.indptr))
+    assert np.all((np.diff(col) > 0) | (np.diff(c.indices) > 0))   # strictly increasing rows per column
+    fresh = sp.csc_matrix((c.data, c.indices, c.indptr), shape=c.shape)
+    for flag in ("has_sorted_indices", "has_canonical_format"):
+        cached = vars(c).get("_" + flag)
+        assert cached is None or cached == getattr(fresh, flag)
+
+
+def _assert_owns(m, *inputs):
+    """m's arrays are its own: shared neither with each other nor with any input."""
+    own = _arrays(m)
+    for i, a in enumerate(own):
+        for b in own[i + 1:] + [x for inp in inputs for x in _arrays(inp)]:
+            assert not np.shares_memory(a, b)
+
+
+def test_from_triplets_sums_duplicates_and_drops_zeros():
+    rows, cols = np.array([1, 0, 1, 2, 0, 2]), np.array([0, 0, 0, 1, 1, 2])
+    vals = np.array([2.0, 3.0, -2.0, 0.0, 5.0, 1.5])
+    m = SparseMat.from_triplets(rows, cols, vals, (3, 3))
+    _assert_canonical(m)
+    _assert_owns(m, rows, cols, vals)
+    expect = (np.array([3.0, 5.0, 1.5]), np.array([0, 0, 2]), np.array([0, 1, 2, 3]))
+    for name, want in zip(("data", "indices", "indptr"), expect):
+        np.testing.assert_array_equal(getattr(m._m, name), want)
+    rows[:], cols[:], vals[:] = 0, 0, 9.0
+    assert np.array_equal(m.toarray(), [[3.0, 5.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.5]])
+
+
+def test_from_blocks_skips_empty_blocks():
+    block = sp.csc_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
+    blocks = [(0, 0, SparseMat.zeros(2, 2)), (1, 2, block), (0, 4, sp.coo_matrix((3, 1))),
+              (2, 0, sp.csr_matrix((1, 2)))]
+    m = SparseMat.from_blocks(blocks, (3, 5))
+    _assert_canonical(m)
+    _assert_owns(m, block)
+    block.data[:] = 7.0
+    expect = np.zeros((3, 5))
+    expect[1:, 2:4] = [[1.0, 0.0], [2.0, 3.0]]
+    assert np.array_equal(m.toarray(), expect)
+    # blocks without entries only: the zero matrix, as from an empty list
+    for blocks in ([(0, 0, SparseMat.zeros(2, 2)), (1, 1, sp.coo_matrix((1, 2)))], []):
+        z = SparseMat.from_blocks(blocks, (3, 3))
+        _assert_canonical(z)
+        assert z.shape == (3, 3) and z.nnz == 0 and np.array_equal(z._m.indptr, np.zeros(4))
+
+
+def test_zeros_and_eye_are_canonical():
+    for m, dense in ((SparseMat.zeros(3, 2), np.zeros((3, 2))), (SparseMat.zeros(0, 0), np.zeros((0, 0))),
+                     (SparseMat.eye(3), np.eye(3)), (SparseMat.eye(2, -0.5), -0.5 * np.eye(2)),
+                     (SparseMat.eye(2, 0.0), np.zeros((2, 2))), (SparseMat.eye(0), np.zeros((0, 0)))):
+        _assert_canonical(m)
+        _assert_owns(m)
+        assert m.shape == dense.shape and np.array_equal(m.toarray(), dense)
+    a, b = SparseMat.zeros(2, 2), SparseMat.zeros(2, 2)
+    _assert_owns(a, b)
+    with pytest.raises(ValueError):
+        SparseMat.zeros(-1, 2)
+    with pytest.raises(TypeError):
+        SparseMat.eye(2.5)
+
+
+def test_products_and_stacks_are_canonical_and_owned():
+    rng = np.random.default_rng(7)
+    dense = [rng.normal(size=(3, 3)) * (rng.random((3, 3)) < 0.5) for _ in range(3)]
+    raw = [sp.csc_matrix(dense[0]), sp.csr_matrix(dense[1]), sp.coo_matrix(dense[2])]
+    a, b = SparseMat(dense[0]), SparseMat(dense[1])
+    built = [multiply(a, b), a.T, -a, SparseMat(raw[0]), SparseMat(raw[1]), SparseMat(dense[2]),
+             hcat(*raw), vcat(*raw), blkdiag(*raw), blkdiag(a, SparseMat.zeros(2, 0), b)]
+    for m in built:
+        _assert_canonical(m)
+        _assert_owns(m, a, b, *raw, *dense)
+    before = [m.toarray() for m in built]
+    for r in raw:
+        r.data[:] = 7.0
+    for d in dense:
+        d[:] = 7.0
+    assert all(np.array_equal(m.toarray(), ref) for m, ref in zip(built, before))
+
+
+def _symmetric_by_definition(m, rel_tol=1e-12):
+    if m.n_rows != m.n_cols:
+        return False
+    diff = m._m - m._m.T
+    return diff.nnz == 0 or float(np.max(np.abs(diff.data))) <= rel_tol * (1.0 + m.max_abs())
+
+
+def test_is_symmetric_matches_definition():
+    rng = np.random.default_rng(11)
+    s = sp.random(12, 12, density=0.3, random_state=3, format="csc")
+    exact = SparseMat(s + s.T)
+    # a congruence G^T (P G) is symmetric only up to rounding in the products
+    G = sp.random(9, 12, density=0.4, random_state=5, format="csc")
+    P = sp.diags(rng.random(9) + 1.0, format="csc")
+    rounded = SparseMat(G.T @ (P @ G))
+    assert not np.array_equal(rounded.toarray(), rounded.toarray().T)
+    assert np.max(np.abs(rounded.toarray() - rounded.toarray().T)) < 1e-15
+    one_sided = SparseMat.from_triplets([0, 1, 2], [1, 1, 0], [1.0, 2.0, 1.0], (3, 3))
+    tiny_one_sided = SparseMat.from_triplets([0, 1], [1, 1], [1e-20, 2.0], (3, 3))
+    cases = [(exact, True), (rounded, True), (one_sided, False), (tiny_one_sided, True),
+             (SparseMat(np.ones((2, 3))), False), (SparseMat.zeros(0, 0), True)]
+    for m, want in cases:
+        assert m.is_symmetric() is want
+        assert _symmetric_by_definition(m) is want
+
+
+# ---------------------------------------------------------------------------
+# the factor of three saddle matrices, pinned bit for bit
+
+# SHA-256 over (dtype, bytes) of the saddle M's indptr, indices and data, and of
+# L's indptr, indices, data and D, recorded before the factorization read M's upper
+# triangle off its own arrays and wrote L's unit diagonal into the factor arrays
+_SADDLE_DIGESTS = {
+    "feasibility": ("d1b75a7c07fdf14625503605f9c585b2a70d8be9d040fe58a638fe71d43c7984",
+                    "3cd8d24e7fcb74d2e0a71763ed5b2f6275696bfe3db38827f9d7792559f86ddb"),
+    "mhe-window": ("f095cb8af94072bbe57b31669a4847a660bc72eedf9e8d25ec39984db52691f3",
+                   "3203cf6a2f45820d69e827c94bd94a116f683bc4a068d03f221dddb60b42cd7f"),
+    "corridor-f1": ("10fc66594367338f77e6367f5e259e421deab501d380447a1dc51f062f69fe74",
+                    "ee094cde9a79dfea943c2bdbc67a4e1425d10fbed72a95ed9fa151b922efa589"),
+}
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _safety_clash(steps=5):
+    """The safety scenario's tube after a few closed-loop steps, intersected with the obstacle."""
+    sc = safety_scenario(n_steps=steps)
+    a_closed, n_x, X = SparseMat(sc.sys.A._m - sc.sys.B._m @ sc.K._m), sc.sys.n_x, sc.X0
+    for k in range(steps):
+        u_ff = sc.K.matvec(sc.x_refs[k])
+        Z = unroll(X, a_closed, SparseMat.eye(n_x), [(sc.W, sc.sys.S, -sc.sys.B.matvec(u_ff))])
+        X = ConZono(SparseMat(Z.G._m[Z.dim - n_x:]), Z.c[Z.dim - n_x:], Z.A, Z.b)
+    return generalized_intersection(X, sc.O, sc.R_map)
+
+
+def _mhe_window_qp():
+    sc = mhe_scenario()
+    sys, x, inputs, meas = sc.sys, sc.x_true0, [], []
+    for k in range(sc.horizon):
+        u = -0.25 * x[2:] + 0.03 * np.array([np.cos(k / 3.0), np.sin(k / 3.0)])
+        x = sys.A.matvec(x) + sys.B.matvec(u)
+        inputs.append(u)
+        meas.append(sys.C.matvec(x) + 0.1 * np.sin(np.arange(4) + k))
+    spec = MheSpec(sys=sys, W=sc.W, V=sc.V, prior_set=sc.X_init, prior_estimate=sc.X_init.c,
+                   prior_info=sc.prior_info, Q_inv=sc.Q_inv, R_inv=sc.R_inv,
+                   inputs=inputs, measurements=meas, N=sc.horizon)
+    Z, P, q, _, _ = build_mhe(spec)
+    return QpProblem(P, q, Z)
+
+
+def _corridor_qp():
+    Z, P, q, _ = build_mpc(corridor_mpc_scenario(1))
+    return QpProblem(P, q, Z)
+
+
+_SADDLES = {
+    "feasibility": lambda: reduce_feasibility(_safety_clash()).M,
+    "mhe-window": lambda: reduce_qp(_mhe_window_qp()).M,
+    "corridor-f1": lambda: reduce_qp(_corridor_qp()).M,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SADDLES))
+def test_ldlt_factor_arrays_pinned(name):
+    M = _SADDLES[name]()
+    m_digest, factor_digest = _SADDLE_DIGESTS[name]
+    if _digest(M._m.indptr, M._m.indices, M._m.data) != m_digest:
+        # the scenarios go through sin, cos and LAPACK, whose last bits differ between builds
+        pytest.skip("this platform assembles a different saddle matrix than the recorded one")
+    f = ldlt_factorize(M)
+    L = f.L._m
+    assert _digest(L.indptr, L.indices, L.data, f.D) == factor_digest
