@@ -69,7 +69,7 @@ class AdmmSettings:
 
 @dataclass(frozen=True)
 class QpProblem:
-    """min 1/2 x^T P x + q^T x subject to x in Z."""
+    """min 1/2 x^T P x + q^T x subject to x in Z; P and q must be finite."""
 
     P: SparseMat
     q: np.ndarray
@@ -84,6 +84,8 @@ class QpProblem:
             raise ValueError(f"cost matrix of shape {P.shape} does not match set dimension {n}")
         if self.q.shape[0] != n:
             raise ValueError(f"linear cost of length {self.q.shape[0]} does not match set dimension {n}")
+        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(P._m.data))):
+            raise ValueError("cost has a non-finite entry")
         if not P.is_symmetric():
             raise ValueError("cost matrix is not symmetric within 1e-12 relative tolerance")
 
@@ -287,8 +289,11 @@ def admm_solve(reduced: ReducedQp, settings: AdmmSettings = AdmmSettings(),
     settings supplies the tolerances, certificate cadence and iteration
     limit. warm seeds the (xi, zeta, u) iterates from a previous result
     so repeated solves against the same factorization can resume.
+    A non-finite linear cost raises ValueError.
     """
     q = reduced.q_tilde if q_tilde is None else np.asarray(q_tilde, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("linear cost has a non-finite entry")
     return _iterate_batch(reduced, q.reshape(-1, 1), settings, warm=warm)[0]
 
 
@@ -371,11 +376,13 @@ def contains_point(Z: ConZono, x, settings: AdmmSettings = AdmmSettings()) -> bo
     pinning G xi = x - c, so no generators are added. Coordinates with a
     structurally zero generator row are flat: they are decided by exact
     comparison and dropped from the augmentation, which would otherwise
-    violate the full-row-rank requirement.
+    violate the full-row-rank requirement. A non-finite point raises ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[0] != Z.dim:
         raise ValueError(f"point of length {x.shape[0]} does not match set dimension {Z.dim}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point has a non-finite coordinate")
     offset = x - Z.c
     flat = np.bincount(Z.G._m.indices, minlength=Z.dim) == 0
     if np.any(offset[flat] != 0.0):
@@ -407,12 +414,15 @@ def support_batch(Z: ConZono, directions, settings: AdmmSettings = AdmmSettings(
 
     All directions share one factorization of the zero-cost problem,
     reduced with settings.rho. Raises ValueError when the array does not
-    have Z.dim rows; rows are never read as directions.
+    have Z.dim rows or holds a non-finite entry; rows are never read as
+    directions.
     """
     D = np.asarray(directions, dtype=float)
     if D.ndim != 2 or D.shape[0] != Z.dim:
         raise ValueError(f"directions of shape {D.shape} do not match shape ({Z.dim}, m): "
                          "one direction per column")
+    if not np.all(np.isfinite(D)):
+        raise ValueError("directions have a non-finite entry")
     reduced = reduce_support(Z, settings)
     q_cols = -Z.G.rmatvec(D)
     results = _iterate_batch(reduced, q_cols, settings)

@@ -191,17 +191,15 @@ def build_mhe(spec: MheSpec):
     return Z, P, np.concatenate(q_parts), _index(n_x, n_x, spec.N), _last_block(Z, n_x)
 
 
-def reduce_prior(X: ConZono, settings: AdmmSettings = None, pad=0.05) -> ConZono:
+def reduce_prior(X: ConZono) -> ConZono:
     """Replace a set by a zonotope over-approximating its bounding box.
 
     Used periodically to stop the recursive window prior from growing.
-    The box is padded by ``pad`` on each side so solver tolerance in the
-    support evaluations cannot shrink the enclosure.
+    The box comes from support evaluations at tolerance 1e-3 and is padded
+    by 0.05 on each side so solver tolerance cannot shrink the enclosure.
     """
-    if settings is None:
-        settings = AdmmSettings(eps_primal=1e-3, eps_dual=1e-3, max_iter=50000)
-    box = bounding_box(X, settings)
-    return interval_to_zono(IntervalBox(box.lo - pad, box.hi + pad))
+    box = bounding_box(X, AdmmSettings(eps_primal=1e-3, eps_dual=1e-3, max_iter=50000))
+    return interval_to_zono(IntervalBox(box.lo - 0.05, box.hi + 0.05))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,10 @@ class BenchRecord:
 
 
 class _Parser(argparse.ArgumentParser):
+    # a prefix of a flag is not that flag: mhe --f json would otherwise read as --format
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -89,29 +93,22 @@ def _obstacle(text):
     return dict(zip(("obstacle_center", "obstacle_inradius"), (tuple(parts[:2]), *parts[2:])))
 
 
-def _add_common(parser, horizon_type):
-    parser.add_argument("--n", type=horizon_type, default=None, help="horizon / step-count override")
-    parser.add_argument("--f", type=_positive_int, default=1, help="scenario scaling factor")
-    parser.add_argument("--seed", type=_nonnegative_int, default=0)
+def _add_output(parser):
+    parser.add_argument("--out", type=Path, default=None, help="output directory")
+    parser.add_argument("--format", choices=["json", "csv", "both"], default="json")
+
+
+def _add_solver(parser):
     parser.add_argument("--eps-primal", type=_positive_float, default=0.01)
     parser.add_argument("--eps-dual", type=_positive_float, default=0.01)
     parser.add_argument("--rho", type=_positive_float, default=1.0)
     parser.add_argument("--k-inf", type=_positive_int, default=10)
     parser.add_argument("--max-iter", type=_positive_int, default=5000)
     parser.add_argument("--norm", choices=["l2", "inf"], default="l2")
-    parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--format", choices=["json", "csv", "both"], default="json")
-
-
-_SETTINGS_FIELDS = ("rho", "eps_primal", "eps_dual", "k_inf", "max_iter", "norm")
 
 
 def _settings(args):
-    return AdmmSettings(**{name: getattr(args, name) for name in _SETTINGS_FIELDS})
-
-
-def _settings_echo(settings: AdmmSettings):
-    return {name: getattr(settings, name) for name in _SETTINGS_FIELDS}
+    return AdmmSettings(**{f.name: getattr(args, f.name) for f in fields(AdmmSettings)})
 
 
 def _emit(args, name, document, records):
@@ -193,7 +190,7 @@ def cmd_mpc(args):
                            "x": x.tolist(), "u": u.tolist()})
     doc = {
         "scenario": "mpc-corridor", "f": args.f, "N": spec.N,
-        "settings": _settings_echo(settings),
+        "settings": asdict(settings),
         "status": run.status, "iterations": run.iterations,
         "n_g": run.n_g, "n_c": run.n_c, "nnz_g": run.nnz_g, "nnz_a": run.nnz_a,
         "nnz_m": run.nnz_m,
@@ -229,7 +226,7 @@ def cmd_mhe(args):
     )
     doc = {
         "scenario": "mhe-sim", "seed": args.seed, "steps": steps,
-        "settings": _settings_echo(settings),
+        "settings": asdict(settings),
         "rms": {
             "measurement_position": result.rms_meas_pos,
             "mhe_position": result.rms_mhe_pos,
@@ -270,7 +267,7 @@ def cmd_verify(args):
     )
     doc = {
         "scenario": "safety", "steps": n_steps,
-        "settings": _settings_echo(settings),
+        "settings": asdict(settings),
         "per_step": [{"step": s.step, "certified": s.certified,
                       "iterations": s.iterations} for s in steps],
         "iterations_histogram": {str(k): v for k, v in sorted(histogram.items())},
@@ -286,25 +283,34 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_reach = sub.add_parser("reach", help="reachable-set size benchmark")
-    _add_common(p_reach, _nonnegative_int)
+    p_reach.add_argument("--n", type=_nonnegative_int, default=None, help="horizon (default 15)")
     p_reach.add_argument("--sweep", type=_nonnegative_int, default=0, help="also sweep N=1..SWEEP")
+    _add_output(p_reach)
     p_reach.set_defaults(fn=cmd_reach)
 
     p_mpc = sub.add_parser("mpc", help="corridor tracking benchmark")
-    _add_common(p_mpc, _positive_int)
+    p_mpc.add_argument("--n", type=_positive_int, default=None, help="horizon (default 55 F)")
+    p_mpc.add_argument("--f", type=_positive_int, default=1, help="scenario scaling factor")
+    _add_solver(p_mpc)
     p_mpc.add_argument("--closed-loop", type=_nonnegative_int, default=0, help="simulate this many steps")
     p_mpc.add_argument("--horizon", type=_positive_int, default=None, help="receding horizon length")
+    _add_output(p_mpc)
     p_mpc.set_defaults(fn=cmd_mpc)
 
     p_mhe = sub.add_parser("mhe", help="estimation benchmark")
-    _add_common(p_mhe, _positive_int)
+    p_mhe.add_argument("--n", type=_positive_int, default=None, help="step count (default 40)")
+    p_mhe.add_argument("--seed", type=_nonnegative_int, default=0)
+    _add_solver(p_mhe)
     p_mhe.add_argument("--zero-noise", action="store_true")
+    _add_output(p_mhe)
     p_mhe.set_defaults(fn=cmd_mhe)
 
     p_verify = sub.add_parser("verify", help="safety certification benchmark")
-    _add_common(p_verify, _nonnegative_int)
+    p_verify.add_argument("--n", type=_nonnegative_int, default=None, help="step count (default 20)")
+    _add_solver(p_verify)
     p_verify.add_argument("--obstacle", type=_obstacle, default={},
                           help="obstacle override as CX,CY[,R]")
+    _add_output(p_verify)
     # certificates are sought every iteration in this scenario
     p_verify.set_defaults(fn=cmd_verify, k_inf=1)
     return parser

@@ -151,21 +151,13 @@ def _last_block(Z: ConZono, n) -> ConZono:
     return ConZono(SparseMat(Z.G._m[Z.dim - n:]), Z.c[Z.dim - n:].copy(), Z.A, Z.b)
 
 
-def reach_standard(X0: ConZono, sys: LinearSystem, N, skip_domain=False):
-    """Reachable sets X_0..X_N by the direct image/sum recursion.
-
-    With ``skip_domain`` the per-step intersection with S is omitted,
-    for systems whose states carry no a-priori bound; the iterates then
-    stay zonotopes whenever the inputs are zonotopes.
-    """
+def reach_standard(X0: ConZono, sys: LinearSystem, N):
+    """Reachable sets X_0..X_N by the direct image/sum recursion."""
     _check_x0(X0, sys)
     sets = [X0]
     for _ in range(int(N)):
         propagated = minkowski_sum(affine_map(sys.A, sets[-1]), affine_map(sys.B, sys.U))
-        if skip_domain:
-            sets.append(propagated)
-        else:
-            sets.append(generalized_intersection(propagated, sys.S))
+        sets.append(generalized_intersection(propagated, sys.S))
     return sets
 
 
@@ -316,17 +308,15 @@ def predict_complexity(method, N, dims: ReachDims) -> ComplexityPrediction:
     if N == 0:
         return ComplexityPrediction(d.n_g0, d.n_c0, d.n_x * d.n_g0, d.n_c0 * d.n_g0)
 
+    # N >= 1: G_{x,0} has n_g0 nonzero columns, each of the other N - 1 a per-method count
     if method == "standard":
         n_g = N * (d.n_gs + d.n_gu) + d.n_g0
         n_c = N * (d.n_cs + d.n_cu + d.n_x) + d.n_c0
         # nonzero generator columns of X_k: k n_gu + n_g0 (the S block stays zero)
         nnz_g = d.n_x * (N * d.n_gu + d.n_g0)
-        nnz_a = d.n_c0 * d.n_g0
-        for k in range(N):
-            nnz_a += d.n_x * (k * d.n_gu + d.n_g0)          # A G_{x,k}
-            nnz_a += d.n_x * d.n_gu                         # B G_u
-            nnz_a += d.n_x * d.n_gs                         # -G_s
-            nnz_a += d.n_cs * d.n_gs + d.n_cu * d.n_gu      # A_s, A_u blocks
+        # A G_{x,k} summed over k, then B G_u, -G_s and the A_s, A_u blocks per step
+        nnz_a = (d.n_c0 * d.n_g0 + d.n_x * (d.n_gu * N * (N - 1) // 2 + N * d.n_g0)
+                 + N * (d.n_x * (d.n_gu + d.n_gs) + d.n_cs * d.n_gs + d.n_cu * d.n_gu))
         return ComplexityPrediction(n_g, n_c, nnz_g, nnz_a)
 
     if method == "graph":
@@ -334,31 +324,23 @@ def predict_complexity(method, N, dims: ReachDims) -> ComplexityPrediction:
         # the lifted set contributes (2 n_cs + n_cu + n_x) rows per step and the
         # per-step intersection adds A_u plus (n_x + n_u) coupling rows
         n_c = N * (2 * d.n_cs + 2 * d.n_cu + 2 * d.n_x + d.n_u) + d.n_c0
-        nnz_g = d.n_x * (d.n_gs + d.n_gu) if N >= 1 else d.n_x * d.n_g0
+        nnz_g = d.n_x * (d.n_gs + d.n_gu)
         nnz_psi_a = (
             2 * d.n_cs * d.n_gs + d.n_cu * d.n_gu
             + d.n_x * (2 * d.n_gs + d.n_gu)                 # [A G_s, B G_u, -G_s]
         )
-        nnz_a = d.n_c0 * d.n_g0
-        for k in range(N):
-            gx_cols = d.n_g0 if k == 0 else d.n_gs + d.n_gu  # nonzero cols of G_{x,k}
-            nnz_a += nnz_psi_a
-            nnz_a += d.n_cu * d.n_gu                        # A_u block
-            nnz_a += d.n_x * d.n_gs + d.n_x * gx_cols       # [G_s... , -G_{x,k}] rows
-            nnz_a += 2 * d.n_u * d.n_gu                     # [G_u..., -G_u] rows
+        # per step: Psi, the A_u block, [G_s ..., -G_{x,k}] and [G_u ..., -G_u] rows
+        nnz_a = (d.n_c0 * d.n_g0 + d.n_x * (d.n_g0 + (N - 1) * (d.n_gs + d.n_gu))
+                 + N * (nnz_psi_a + d.n_cu * d.n_gu + d.n_x * d.n_gs + 2 * d.n_u * d.n_gu))
         return ComplexityPrediction(n_g, n_c, nnz_g, nnz_a)
 
     if method == "sparse":
         n_g = N * (d.n_gs + d.n_gu) + d.n_g0
         n_c = N * (d.n_cs + d.n_cu + d.n_x) + d.n_c0
-        nnz_g = d.n_x * d.n_gs if N >= 1 else d.n_x * d.n_g0
-        nnz_a = d.n_c0 * d.n_g0
-        for k in range(N):
-            gx_cols = d.n_g0 if k == 0 else d.n_gs           # nonzero cols of G_{x,k}
-            nnz_a += d.n_x * gx_cols                        # A G_{x,k}
-            nnz_a += d.n_x * d.n_gu                         # B G_u
-            nnz_a += d.n_x * d.n_gs                         # -G_s
-            nnz_a += d.n_cs * d.n_gs + d.n_cu * d.n_gu      # A_s, A_u blocks
+        nnz_g = d.n_x * d.n_gs
+        # A G_{x,k} over k, then B G_u, -G_s and the A_s, A_u blocks per step
+        nnz_a = (d.n_c0 * d.n_g0 + d.n_x * (d.n_g0 + (N - 1) * d.n_gs)
+                 + N * (d.n_x * (d.n_gu + d.n_gs) + d.n_cs * d.n_gs + d.n_cu * d.n_gu))
         return ComplexityPrediction(n_g, n_c, nnz_g, nnz_a)
 
     raise ValueError(f"unknown method {method!r}")

@@ -30,7 +30,7 @@ from .builders import (
     safety_verify,
 )
 from .intervals import IntervalBox
-from .reach import LinearSystem
+from .reach import LinearSystem, svse_step_sparse
 from .sets import (
     ConZono,
     cartesian_product,
@@ -39,15 +39,15 @@ from .sets import (
     minkowski_sum,
 )
 from .sparse import SparseMat
-from .reach import svse_step_sparse
 
 
 # ---------------------------------------------------------------------------
 # second-order reachability benchmark
 
 
-def second_order_scenario(dt=0.1, omega_n=0.3, damping=0.7):
+def second_order_scenario():
     """Lightly damped second-order system with box domain sets."""
+    dt, omega_n, damping = 0.1, 0.3, 0.7
     A = np.array([
         [1.0, dt],
         [-omega_n ** 2 * dt, 1.0 - 2.0 * damping * omega_n * dt],
@@ -213,16 +213,16 @@ class MpcRunResult:
     violations: int
 
 
-def run_mpc_open_loop(spec: MpcSpec, settings: AdmmSettings = AdmmSettings(),
-                      check_tolerance=2e-2) -> MpcRunResult:
-    """Build, solve once, and check every planned state against its set."""
+def run_mpc_open_loop(spec: MpcSpec, settings: AdmmSettings = AdmmSettings()) -> MpcRunResult:
+    """Build, solve once, and check every planned state against its set
+    inflated by a 0.02 box."""
     Z, P, q, idx = build_mpc(spec)
     reduced = reduce_qp(QpProblem(P, q, Z), settings)
     result = admm_solve(reduced, settings)
     xs, us = extract_trajectory(result.x_star, idx)
     violations = 0
     if result.status == "converged":
-        violations = count_state_set_violations(xs[1:], spec.state_sets, settings, check_tolerance)
+        violations = count_state_set_violations(xs[1:], spec.state_sets, settings, 2e-2)
     objective = float(0.5 * result.x_star @ P.matvec(result.x_star) + q @ result.x_star)
     return MpcRunResult(
         status=result.status,
@@ -296,7 +296,7 @@ class MheScenario:
     horizon: int
 
 
-def mhe_scenario(horizon=15) -> MheScenario:
+def mhe_scenario() -> MheScenario:
     """Noisy planar double integrator with hexagonal noise bounds.
 
     Noise is zero-mean truncated normal; each planar noise pair is
@@ -326,7 +326,7 @@ def mhe_scenario(horizon=15) -> MheScenario:
         sys=sys, W=W, V=V, X_init=X_init, Q_inv=Q_inv, R_inv=R_inv,
         prior_info=SparseMat.zeros(4, 4),
         x_true0=np.array([-5.0, 2.0, -0.6, 0.2]),
-        sigma_w=sigma_w, sigma_v=sigma_v, horizon=horizon,
+        sigma_w=sigma_w, sigma_v=sigma_v, horizon=15,
     )
 
 
@@ -357,13 +357,13 @@ class MheSimResult:
 
 def run_mhe_simulation(seed=0, steps=40, scenario: MheScenario = None,
                        settings: AdmmSettings = AdmmSettings(), zero_noise=False,
-                       reduce_every=10, check_containment=True) -> MheSimResult:
+                       check_containment=True) -> MheSimResult:
     """Closed 40-step estimation run with a recursively updated window prior.
 
     The applied input gently regulates the true velocity so the plant
     stays well inside its domain set for every seed. The window prior
     advances one measurement-update step once the window is full and is
-    replaced by its padded bounding box every ``reduce_every`` steps.
+    replaced by its padded bounding box every 10 steps.
     """
     sc = scenario or mhe_scenario()
     sys = sc.sys
@@ -425,7 +425,7 @@ def run_mhe_simulation(seed=0, steps=40, scenario: MheScenario = None,
             s = t - horizon
             prior_set = svse_step_sparse(prior_set, sys, sc.W, sc.V,
                                          inputs[s], measurements[s + 1])
-        if t % reduce_every == 0:
+        if t % 10 == 0:
             prior_set = reduce_prior(prior_set)
 
     truth = np.asarray(truth)

@@ -190,13 +190,15 @@ class SparseMat:
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.n_rows:
             raise ValueError(f"cannot multiply transpose of {self.shape} by vector of length {x.shape[0]}")
-        return self._m.T @ x
+        # A's CSC arrays are A^T's CSR arrays; entry j sums column j of A in stored order
+        m = self._m
+        return _csc(m.data, m.indices, m.indptr, m.shape[::-1], sp.csr_matrix) @ x
 
     def max_abs(self):
         return float(np.max(np.abs(self._m.data))) if self.nnz else 0.0
 
-    def is_symmetric(self, rel_tol=1e-12):
-        """Whether max|M - M^T| <= rel_tol (1 + max|M|).
+    def is_symmetric(self):
+        """Whether max|M - M^T| <= 1e-12 (1 + max|M|).
 
         When the pattern is symmetric, M^T's CSC arrays (those of M in CSR)
         line up with M's, so the entries are compared in place; M - M^T is
@@ -209,7 +211,7 @@ class SparseMat:
             gap = np.abs(m.data - t.data)
         else:
             gap = np.abs((m - m.T).data)
-        return not gap.size or float(gap.max()) <= rel_tol * (1.0 + self.max_abs())
+        return not gap.size or float(gap.max()) <= 1e-12 * (1.0 + self.max_abs())
 
     def __repr__(self):
         return f"SparseMat(shape={self.shape}, nnz={self.nnz})"
@@ -261,16 +263,17 @@ class _Csc(NamedTuple):
     shape: tuple
 
 
-# what scipy's constructor sets on a CSC matrix besides its arrays and shape, read off a
-# checked one; its cached format flags are left out, so each matrix finds its own
-_CSC_ATTRS = {k: v for k, v in vars(sp.csc_matrix((0, 0))).items()
-              if k not in ("data", "indices", "indptr", "_shape") and not k.startswith("_has_")}
+# what scipy's constructor sets on a CSC or CSR matrix besides its arrays and shape, read
+# off a checked one; its cached format flags are left out, so each matrix finds its own
+_ATTRS = {cls: {k: v for k, v in vars(cls((0, 0))).items()
+                if k not in ("data", "indices", "indptr", "_shape") and not k.startswith("_has_")}
+          for cls in (sp.csc_matrix, sp.csr_matrix)}
 
 
-def _csc(data, indices, indptr, shape):
-    """scipy CSC matrix on the given arrays, made without scipy's validating constructor."""
-    m = sp.csc_matrix.__new__(sp.csc_matrix)
-    vars(m).update(_CSC_ATTRS, _shape=shape, data=data, indices=indices, indptr=indptr)
+def _csc(data, indices, indptr, shape, cls=sp.csc_matrix):
+    """scipy CSC (or CSR) matrix on the given arrays, made without scipy's validating constructor."""
+    m = cls.__new__(cls)
+    vars(m).update(_ATTRS[cls], _shape=shape, data=data, indices=indices, indptr=indptr)
     return m
 
 

@@ -547,6 +547,22 @@ def test_contains_point_dimension_error():
         contains_point(unit_box(), [1.0])
 
 
+@pytest.mark.parametrize("call", [
+    lambda Z: contains_point(Z, [np.nan, 0.0]),
+    lambda Z: support(Z, [np.nan, 1.0]),
+    lambda Z: support(Z, [np.inf, 1.0]),
+    lambda Z: support_batch(Z, np.array([[1.0, 0.0], [-np.inf, 1.0]])),
+    lambda Z: QpProblem(SparseMat.eye(2), [np.nan, 0.0], Z),
+    lambda Z: QpProblem(SparseMat.eye(2, np.inf), np.zeros(2), Z),
+    lambda Z: admm_solve(reduce_qp(QpProblem(SparseMat.eye(2), np.zeros(2), Z)), q_tilde=[np.nan, 1.0]),
+], ids=["contains_point", "support-nan", "support-inf", "support_batch", "qp-q", "qp-P", "admm_solve"])
+def test_non_finite_input_rejected_on_entry(call):
+    # a NaN or infinite input would otherwise run to the iteration limit
+    Z = make_regular_polygon(6, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        call(Z)
+
+
 def test_contains_point_flat_set():
     # zero-width coordinate: decided exactly, no rank failure
     flat = interval_to_zono(IntervalBox([0.0, 3.0], [2.0, 3.0]))

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from conzopt.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, main
+from conzopt.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -167,7 +168,7 @@ def test_bad_usage_exit_code():
         main(["nonsense"])
     assert exc.value.code == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
-        main(["reach", "--norm", "l7"])
+        main(["mpc", "--norm", "l7"])
     assert exc.value.code == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
         main(["mpc", "--f", "0"])
@@ -198,6 +199,39 @@ def test_invalid_values_exit_usage(argv, capsys):
         main(argv)
     assert exc.value.code == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
+
+
+SOLVER_FLAGS = {"--eps-primal", "--eps-dual", "--rho", "--k-inf", "--max-iter", "--norm"}
+OUTPUT_FLAGS = {"--out", "--format"}
+
+
+def test_each_subcommand_registers_only_the_flags_it_reads():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "reach": {"--n", "--sweep"} | OUTPUT_FLAGS,
+        "mpc": {"--n", "--f", "--closed-loop", "--horizon"} | SOLVER_FLAGS | OUTPUT_FLAGS,
+        "mhe": {"--n", "--seed", "--zero-noise"} | SOLVER_FLAGS | OUTPUT_FLAGS,
+        "verify": {"--n", "--obstacle"} | SOLVER_FLAGS | OUTPUT_FLAGS,
+    }
+    assert sum(map(len, flags.values())) == 37
+
+
+@pytest.mark.parametrize("argv", [
+    ["reach", "--rho", "1"],
+    ["reach", "--seed", "1"],
+    ["mpc", "--seed", "1"],
+    ["mhe", "--f", "2"],
+    ["mhe", "--f", "json"],
+    ["verify", "--seed", "1"],
+])
+def test_flags_a_subcommand_does_not_read_exit_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 def test_exit_code_constants():

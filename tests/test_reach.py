@@ -81,6 +81,42 @@ def test_predict_complexity_standard_closed_form(second_order):
         assert pred.nnz_a_bound == closed
 
 
+def _per_step_prediction(method, N, d):
+    """The counts of predict_complexity added up one step at a time."""
+    n_g, n_c, nnz_a = d.n_g0, d.n_c0, d.n_c0 * d.n_g0
+    nnz_g = d.n_x * d.n_g0
+    x_cols = d.n_g0                                  # nonzero columns of G_{x,k}
+    for _ in range(N):
+        blocks = d.n_cs * d.n_gs + d.n_cu * d.n_gu   # A_s, A_u
+        if method == "graph":
+            n_g += 2 * (d.n_gs + d.n_gu)
+            n_c += 2 * d.n_cs + 2 * d.n_cu + 2 * d.n_x + d.n_u
+            nnz_a += blocks + d.n_cs * d.n_gs + d.n_x * (2 * d.n_gs + d.n_gu)   # Psi
+            nnz_a += d.n_cu * d.n_gu + d.n_x * (d.n_gs + x_cols) + 2 * d.n_u * d.n_gu
+            x_cols = d.n_gs + d.n_gu
+        else:
+            n_g += d.n_gs + d.n_gu
+            n_c += d.n_cs + d.n_cu + d.n_x
+            nnz_a += blocks + d.n_x * (x_cols + d.n_gu + d.n_gs)
+            x_cols = x_cols + d.n_gu if method == "standard" else d.n_gs
+        nnz_g = d.n_x * x_cols
+    return n_g, n_c, nnz_g, nnz_a
+
+
+def test_predict_complexity_matches_per_step_sums():
+    grid = [ReachDims(n_x, n_u, n_g0, n_c0, n_gs, n_cs, n_gu, n_cu)
+            for n_x, n_u in ((1, 1), (2, 1), (4, 2))
+            for n_g0, n_c0 in ((1, 0), (3, 2))
+            for n_gs, n_cs in ((2, 0), (5, 3))
+            for n_gu, n_cu in ((1, 0), (4, 1))]
+    for d in grid:
+        for method in METHODS:
+            for N in range(31):
+                pred = predict_complexity(method, N, d)
+                got = (pred.n_g, pred.n_c, pred.nnz_g_bound, pred.nnz_a_bound)
+                assert got == _per_step_prediction(method, N, d), (method, N, d)
+
+
 def test_predict_rejects_unknown_method(second_order):
     X0, sys = second_order
     with pytest.raises(ValueError):
@@ -186,14 +222,6 @@ def test_monotone_containment_under_input_shrink(second_order):
     for _ in range(16):
         d = rng.normal(size=2)
         assert lp_support(X_none, d) <= lp_support(X_full, d) + 1e-9
-
-
-def test_skip_domain_keeps_zonotope(second_order):
-    X0, sys = second_order
-    sets = reach_standard(X0, sys, 5, skip_domain=True)
-    assert all(X.n_c == 0 for X in sets)
-    # only input generators accumulate without the domain intersection
-    assert sets[-1].n_g == X0.n_g + 5 * sys.U.n_g
 
 
 def test_dimension_mismatch_errors(second_order):
