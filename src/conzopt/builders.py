@@ -9,6 +9,7 @@ states and inputs through a recorded offset index.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,8 +212,11 @@ class StepCertificate:
     iterations: int
 
 
+SAFETY_SETTINGS = AdmmSettings(k_inf=1)   # a certificate check at every iteration
+
+
 def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZono,
-                  R_map, N, settings: AdmmSettings = AdmmSettings()):
+                  R_map, N, settings: AdmmSettings = SAFETY_SETTINGS):
     """Certify per-step disjointness of the closed-loop reachable tube
     from an unsafe set.
 
@@ -227,7 +231,7 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
 
     results = []
     X = X0
-    for k in range(int(N) + 1):
+    for k in range(operator.index(N) + 1):
         clash = generalized_intersection(X, O, R_map)
         outcome = check_empty(clash, settings)
         results.append(

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .admm import AdmmSettings, ConstraintRankError, EmptySetError, IndeterminateResultError
+from .builders import SAFETY_SETTINGS
 from .reach import REACH_METHODS, ReachDims, predict_complexity
 from .scenarios import (
     corridor_mpc_scenario,
@@ -98,13 +99,15 @@ def _add_output(parser):
     parser.add_argument("--format", choices=["json", "csv", "both"], default="json")
 
 
-def _add_solver(parser):
-    parser.add_argument("--eps-primal", type=_positive_float, default=0.01)
-    parser.add_argument("--eps-dual", type=_positive_float, default=0.01)
-    parser.add_argument("--rho", type=_positive_float, default=1.0)
-    parser.add_argument("--k-inf", type=_positive_int, default=10)
-    parser.add_argument("--max-iter", type=_positive_int, default=5000)
-    parser.add_argument("--norm", choices=["l2", "inf"], default="l2")
+def _add_solver(parser, defaults: AdmmSettings):
+    """The six solver flags, each defaulting to its field of ``defaults``."""
+    parser.add_argument("--eps-primal", type=_positive_float)
+    parser.add_argument("--eps-dual", type=_positive_float)
+    parser.add_argument("--rho", type=_positive_float)
+    parser.add_argument("--k-inf", type=_positive_int)
+    parser.add_argument("--max-iter", type=_positive_int)
+    parser.add_argument("--norm", choices=["l2", "inf"])
+    parser.set_defaults(**asdict(defaults))
 
 
 def _settings(args):
@@ -135,7 +138,6 @@ def _emit(args, name, document, records):
 
 
 def cmd_reach(args):
-    horizon = 15 if args.n is None else args.n
     X0, sys = second_order_scenario()
     dims = ReachDims.of(X0, sys)
     records = []
@@ -143,16 +145,16 @@ def cmd_reach(args):
     counts = {}
     for method, fn in REACH_METHODS.items():
         t0 = time.perf_counter()
-        sets = fn(X0, sys, horizon)
+        sets = fn(X0, sys, args.n)
         wall = (time.perf_counter() - t0) * 1e3
         X_N = sets[-1]
         records.append(BenchRecord(
-            scenario="reach2nd", method=method, N=horizon,
+            scenario="reach2nd", method=method, N=args.n,
             n_g=X_N.n_g, n_c=X_N.n_c, nnz_g=X_N.G.nnz, nnz_a=X_N.A.nnz,
             nnz_m=0, iterations=0, wall_ms=wall, status="ok",
         ))
         sets_json[method] = X_N.to_json_dict()
-        pred = predict_complexity(method, horizon, dims)
+        pred = predict_complexity(method, args.n, dims)
         counts[method] = {
             "nnz_g": X_N.G.nnz, "nnz_a": X_N.A.nnz,
             "n_g": X_N.n_g, "n_c": X_N.n_c,
@@ -165,7 +167,7 @@ def cmd_reach(args):
                 X_N = fn(X0, sys, n)[-1]
                 sweep.append({"method": method, "N": n,
                               "nnz_g": X_N.G.nnz, "nnz_a": X_N.A.nnz})
-    doc = {"scenario": "reach2nd", "N": horizon, "counts": counts,
+    doc = {"scenario": "reach2nd", "N": args.n, "counts": counts,
            "sets": sets_json, "sweep": sweep}
     _emit(args, "reach", doc, records)
     return EXIT_OK
@@ -212,20 +214,19 @@ def cmd_mpc(args):
 
 def cmd_mhe(args):
     settings = _settings(args)
-    steps = 40 if args.n is None else args.n
     t0 = time.perf_counter()
-    result = run_mhe_simulation(seed=args.seed, steps=steps, settings=settings,
+    result = run_mhe_simulation(seed=args.seed, steps=args.n, settings=settings,
                                 zero_noise=args.zero_noise)
     wall = (time.perf_counter() - t0) * 1e3
     record = BenchRecord(
-        scenario="mhe-sim", method="sparse", N=steps,
+        scenario="mhe-sim", method="sparse", N=args.n,
         n_g=max(s.n_g for s in result.sets), n_c=max(s.n_c for s in result.sets),
         nnz_g=0, nnz_a=0, nnz_m=0,
         iterations=int(np.sum(result.iterations)), wall_ms=wall,
         status="ok" if all(s == "converged" for s in result.statuses) else "not-converged",
     )
     doc = {
-        "scenario": "mhe-sim", "seed": args.seed, "steps": steps,
+        "scenario": "mhe-sim", "seed": args.seed, "steps": args.n,
         "settings": asdict(settings),
         "rms": {
             "measurement_position": result.rms_meas_pos,
@@ -250,8 +251,7 @@ def cmd_mhe(args):
 
 def cmd_verify(args):
     settings = _settings(args)
-    n_steps = 20 if args.n is None else args.n
-    scenario = safety_scenario(n_steps=n_steps, **args.obstacle)
+    scenario = safety_scenario(n_steps=args.n, **args.obstacle)
     t0 = time.perf_counter()
     steps = run_safety_scenario(scenario, settings)
     wall = (time.perf_counter() - t0) * 1e3
@@ -260,13 +260,13 @@ def cmd_verify(args):
         if s.certified:
             histogram[s.iterations] = histogram.get(s.iterations, 0) + 1
     record = BenchRecord(
-        scenario="safety", method="sparse", N=n_steps,
+        scenario="safety", method="sparse", N=args.n,
         n_g=0, n_c=0, nnz_g=0, nnz_a=0, nnz_m=0,
         iterations=int(np.sum([s.iterations for s in steps])), wall_ms=wall,
         status="certified" if all(s.certified for s in steps) else "not-certified",
     )
     doc = {
-        "scenario": "safety", "steps": n_steps,
+        "scenario": "safety", "steps": args.n,
         "settings": asdict(settings),
         "per_step": [{"step": s.step, "certified": s.certified,
                       "iterations": s.iterations} for s in steps],
@@ -283,7 +283,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_reach = sub.add_parser("reach", help="reachable-set size benchmark")
-    p_reach.add_argument("--n", type=_nonnegative_int, default=None, help="horizon (default 15)")
+    p_reach.add_argument("--n", type=_nonnegative_int, default=15, help="horizon (default %(default)s)")
     p_reach.add_argument("--sweep", type=_nonnegative_int, default=0, help="also sweep N=1..SWEEP")
     _add_output(p_reach)
     p_reach.set_defaults(fn=cmd_reach)
@@ -291,28 +291,27 @@ def build_parser():
     p_mpc = sub.add_parser("mpc", help="corridor tracking benchmark")
     p_mpc.add_argument("--n", type=_positive_int, default=None, help="horizon (default 55 F)")
     p_mpc.add_argument("--f", type=_positive_int, default=1, help="scenario scaling factor")
-    _add_solver(p_mpc)
+    _add_solver(p_mpc, AdmmSettings())
     p_mpc.add_argument("--closed-loop", type=_nonnegative_int, default=0, help="simulate this many steps")
     p_mpc.add_argument("--horizon", type=_positive_int, default=None, help="receding horizon length")
     _add_output(p_mpc)
     p_mpc.set_defaults(fn=cmd_mpc)
 
     p_mhe = sub.add_parser("mhe", help="estimation benchmark")
-    p_mhe.add_argument("--n", type=_positive_int, default=None, help="step count (default 40)")
+    p_mhe.add_argument("--n", type=_positive_int, default=40, help="step count (default %(default)s)")
     p_mhe.add_argument("--seed", type=_nonnegative_int, default=0)
-    _add_solver(p_mhe)
+    _add_solver(p_mhe, AdmmSettings())
     p_mhe.add_argument("--zero-noise", action="store_true")
     _add_output(p_mhe)
     p_mhe.set_defaults(fn=cmd_mhe)
 
     p_verify = sub.add_parser("verify", help="safety certification benchmark")
-    p_verify.add_argument("--n", type=_nonnegative_int, default=None, help="step count (default 20)")
-    _add_solver(p_verify)
+    p_verify.add_argument("--n", type=_nonnegative_int, default=20, help="step count (default %(default)s)")
+    _add_solver(p_verify, SAFETY_SETTINGS)
     p_verify.add_argument("--obstacle", type=_obstacle, default={},
                           help="obstacle override as CX,CY[,R]")
     _add_output(p_verify)
-    # certificates are sought every iteration in this scenario
-    p_verify.set_defaults(fn=cmd_verify, k_inf=1)
+    p_verify.set_defaults(fn=cmd_verify)
     return parser
 
 

@@ -54,9 +54,7 @@ class Interval:
         )
         return Interval(min(products), max(products))
 
-    def contains(self, x, strict=False):
-        if strict:
-            return self.lo < x < self.hi
+    def contains(self, x):
         return self.lo <= x <= self.hi
 
     @property

@@ -18,6 +18,7 @@ for set-valued state estimation follow the same standard/sparse split.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,14 @@ class LinearSystem:
 def _check_x0(X0: ConZono, sys: LinearSystem):
     if X0.dim != sys.n_x:
         raise ValueError(f"initial set has dimension {X0.dim}, expected {sys.n_x}")
+
+
+def _horizon(N) -> int:
+    """N as an int: a float or a negative count raises instead of truncating."""
+    N = operator.index(N)
+    if N < 0:
+        raise ValueError("horizon must be nonnegative")
+    return N
 
 
 def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
@@ -155,7 +164,7 @@ def reach_standard(X0: ConZono, sys: LinearSystem, N):
     """Reachable sets X_0..X_N by the direct image/sum recursion."""
     _check_x0(X0, sys)
     sets = [X0]
-    for _ in range(int(N)):
+    for _ in range(_horizon(N)):
         propagated = minkowski_sum(affine_map(sys.A, sets[-1]), affine_map(sys.B, sys.U))
         sets.append(generalized_intersection(propagated, sys.S))
     return sets
@@ -188,7 +197,7 @@ def reach_graph(X0: ConZono, sys: LinearSystem, N):
     psi = _graph_set(sys)
     select_xu = hcat(SparseMat.eye(n_x + n_u), SparseMat.zeros(n_x + n_u, n_x))
     sets = [X0]
-    for _ in range(int(N)):
+    for _ in range(_horizon(N)):
         lifted = generalized_intersection(psi, cartesian_product(sets[-1], sys.U), select_xu)
         sets.append(_last_block(lifted, n_x))
     return sets
@@ -203,7 +212,7 @@ def reach_sparse(X0: ConZono, sys: LinearSystem, N):
     """
     _check_x0(X0, sys)
     sets = [X0]
-    for _ in range(int(N)):
+    for _ in range(_horizon(N)):
         pinned = unroll(sets[-1], sys.A, sys.B, [(sys.U, sys.S, np.zeros(sys.n_x))])
         sets.append(_last_block(pinned, sys.n_x))
     return sets
@@ -301,9 +310,7 @@ def predict_complexity(method, N, dims: ReachDims) -> ComplexityPrediction:
     product are fully dense; structural zero blocks are propagated
     exactly, so actual counts never exceed the bounds.
     """
-    N = int(N)
-    if N < 0:
-        raise ValueError("horizon must be nonnegative")
+    N = _horizon(N)
     d = dims
     if N == 0:
         return ComplexityPrediction(d.n_g0, d.n_c0, d.n_x * d.n_g0, d.n_c0 * d.n_g0)

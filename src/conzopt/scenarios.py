@@ -8,6 +8,7 @@ reference paths, obstacle placement) is generated procedurally.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .admm import (
     reduce_qp,
 )
 from .builders import (
+    SAFETY_SETTINGS,
     MheSpec,
     MpcSpec,
     build_mhe,
@@ -81,12 +83,10 @@ def double_integrator(dt):
 
 
 def lqr_gain(A: SparseMat, B: SparseMat, Q, R):
-    """Discrete-time infinite-horizon state-feedback gain."""
+    """Discrete-time infinite-horizon state-feedback gain for dense weights Q and R."""
     Ad, Bd = A.toarray(), B.toarray()
-    Qd = Q.toarray() if isinstance(Q, SparseMat) else np.asarray(Q, dtype=float)
-    Rd = R.toarray() if isinstance(R, SparseMat) else np.asarray(R, dtype=float)
-    P = scipy.linalg.solve_discrete_are(Ad, Bd, Qd, Rd)
-    K = np.linalg.solve(Rd + Bd.T @ P @ Bd, Bd.T @ P @ Ad)
+    P = scipy.linalg.solve_discrete_are(Ad, Bd, Q, R)
+    K = np.linalg.solve(R + Bd.T @ P @ Bd, Bd.T @ P @ Ad)
     return SparseMat(K)
 
 
@@ -118,11 +118,11 @@ def corridor_mpc_scenario(f=1, horizon=None) -> MpcSpec:
     f >= 1 refines the discretization: the horizon scales as 55 f and
     the time step as 1/f.
     """
-    f = int(f)
+    f = operator.index(f)
     if f < 1:
         raise ValueError("scale factor must be a positive integer")
     dt = 1.0 / f
-    N = 55 * f if horizon is None else int(horizon)
+    N = 55 * f if horizon is None else operator.index(horizon)
     if N < 1:
         raise ValueError("horizon must be a positive integer")
 
@@ -222,7 +222,7 @@ def run_mpc_open_loop(spec: MpcSpec, settings: AdmmSettings = AdmmSettings()) ->
     xs, us = extract_trajectory(result.x_star, idx)
     violations = 0
     if result.status == "converged":
-        violations = count_state_set_violations(xs[1:], spec.state_sets, settings, 2e-2)
+        violations = count_state_set_violations(xs[1:], spec.state_sets, settings)
     objective = float(0.5 * result.x_star @ P.matvec(result.x_star) + q @ result.x_star)
     return MpcRunResult(
         status=result.status,
@@ -239,15 +239,14 @@ def run_mpc_open_loop(spec: MpcSpec, settings: AdmmSettings = AdmmSettings()) ->
     )
 
 
-def count_state_set_violations(states, state_sets, settings, tolerance):
-    """States outside their per-step sets inflated by a tolerance box."""
+def count_state_set_violations(states, state_sets, settings):
+    """States outside their per-step sets inflated by a 0.02 box."""
     violations = 0
     pad_cache = {}
     for x, S_k in zip(states, state_sets):
         key = id(S_k)
         if key not in pad_cache:
-            pad = interval_to_zono(IntervalBox(
-                np.full(S_k.dim, -tolerance), np.full(S_k.dim, tolerance)))
+            pad = interval_to_zono(IntervalBox(np.full(S_k.dim, -2e-2), np.full(S_k.dim, 2e-2)))
             pad_cache[key] = minkowski_sum(S_k, pad)
         if not contains_point(pad_cache[key], x, settings):
             violations += 1
@@ -264,10 +263,10 @@ def run_mpc_closed_loop(base: MpcSpec, steps, horizon=None,
     applied input u is the first planned one and the plant follows the
     nominal dynamics.
     """
-    horizon = base.N if horizon is None else int(horizon)
+    horizon = base.N if horizon is None else operator.index(horizon)
     x = np.asarray(base.x0, dtype=float)
     outcomes = []
-    for k in range(int(steps)):
+    for k in range(operator.index(steps)):
         Z, P, q, idx = build_mpc(shift_mpc_spec(base, k, x, horizon))
         reduced = reduce_qp(QpProblem(P, q, Z), settings)
         result = admm_solve(reduced, settings)
@@ -355,9 +354,8 @@ class MheSimResult:
     rms_mhe_vel: float
 
 
-def run_mhe_simulation(seed=0, steps=40, scenario: MheScenario = None,
-                       settings: AdmmSettings = AdmmSettings(), zero_noise=False,
-                       check_containment=True) -> MheSimResult:
+def run_mhe_simulation(seed=0, steps=40, settings: AdmmSettings = AdmmSettings(),
+                       zero_noise=False) -> MheSimResult:
     """Closed 40-step estimation run with a recursively updated window prior.
 
     The applied input gently regulates the true velocity so the plant
@@ -365,7 +363,7 @@ def run_mhe_simulation(seed=0, steps=40, scenario: MheScenario = None,
     advances one measurement-update step once the window is full and is
     replaced by its padded bounding box every 10 steps.
     """
-    sc = scenario or mhe_scenario()
+    sc = mhe_scenario()
     sys = sc.sys
     rng = np.random.default_rng(seed)
     horizon = sc.horizon
@@ -382,7 +380,7 @@ def run_mhe_simulation(seed=0, steps=40, scenario: MheScenario = None,
     prior_set = sc.X_init
     prior_estimate = sc.X_init.c.copy()
 
-    for t in range(1, int(steps) + 1):
+    for t in range(1, operator.index(steps) + 1):
         k = t - 1
         v_now = truth[-1][2:]
         u = -0.25 * v_now + 0.03 * np.array([np.cos(2 * np.pi * k / 20.0),
@@ -418,8 +416,7 @@ def run_mhe_simulation(seed=0, steps=40, scenario: MheScenario = None,
         sets.append(X_end)
         iterations.append(result.iterations)
         statuses.append(result.status)
-        if check_containment:
-            contained.append(contains_point(X_end, x_next, settings))
+        contained.append(contains_point(X_end, x_next, settings))
 
         if t >= horizon:
             s = t - horizon
@@ -502,10 +499,8 @@ def safety_scenario(n_steps=20, obstacle_center=(6.0, -5.0), obstacle_inradius=1
 
 
 def run_safety_scenario(scenario: SafetyScenario = None,
-                        settings: AdmmSettings = None):
-    """Run the per-step certification; defaults check every iteration."""
+                        settings: AdmmSettings = SAFETY_SETTINGS):
+    """Run the per-step certification with safety_verify's settings by default."""
     sc = scenario or safety_scenario()
-    if settings is None:
-        settings = AdmmSettings(k_inf=1)
     return safety_verify(sc.sys, sc.K, sc.x_refs, sc.W, sc.X0, sc.O, sc.R_map,
                          sc.N, settings)

@@ -7,7 +7,7 @@ new sets; inputs are never mutated.
 
 from __future__ import annotations
 
-import json
+import operator
 
 import numpy as np
 
@@ -19,8 +19,8 @@ class ConZono:
     """Constrained zonotope <G, c, A, b>.
 
     G: (n x nG) generator matrix, c: dense center, A: (nC x nG)
-    constraint matrix, b: dense constraint vector. nC = 0 means the set
-    is a zonotope.
+    constraint matrix, b: dense constraint vector, all finite. nC = 0
+    means the set is a zonotope.
     """
 
     __slots__ = ("G", "c", "A", "b")
@@ -44,6 +44,9 @@ class ConZono:
             )
         if A.n_rows != b.shape[0]:
             raise ValueError(f"constraint matrix has {A.n_rows} rows but rhs has length {b.shape[0]}")
+        for name, values in (("G", G._m.data), ("c", c), ("A", A._m.data), ("b", b)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} has a NaN or infinite entry")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
@@ -83,9 +86,6 @@ class ConZono:
             "b": self.b.tolist(),
         }
 
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_json_dict(), **kwargs)
-
     @classmethod
     def from_json_dict(cls, d):
         n, n_g, n_c = int(d["n"]), int(d["nG"]), int(d["nC"])
@@ -101,10 +101,6 @@ class ConZono:
             triplet_mat(d["A"], (n_c, n_g)),
             np.asarray(d["b"], dtype=float),
         )
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_dict(json.loads(s))
 
 
 def point_set(x) -> ConZono:
@@ -191,7 +187,7 @@ def make_regular_polygon(m, inradius, center=(0.0, 0.0)) -> ConZono:
     ``center``); the m/2 generators are successive half edge vectors,
     the first aligned with the +x axis.
     """
-    m = int(m)
+    m = operator.index(m)
     if m < 4 or m % 2 != 0:
         raise ValueError(f"a centrally symmetric polygon needs an even vertex count >= 4, got {m}")
     inradius = float(inradius)

@@ -45,16 +45,14 @@ from scipy.sparse.linalg import splu
 class RankDeficiencyError(ValueError):
     """Raised when a pivot falls below the rank-deficiency threshold."""
 
-    def __init__(self, pivot_index, pivot_value, message=None):
+    def __init__(self, pivot_index, pivot_value):
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
-        if message is None:
-            message = (
-                f"rank-deficient matrix: |pivot| = {abs(pivot_value):.3e} at "
-                f"index {pivot_index} is below threshold; the constraint rows "
-                "are not full row rank (redundant constraints can be removed)"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"rank-deficient matrix: |pivot| = {abs(pivot_value):.3e} at "
+            f"index {pivot_index} is below threshold; the constraint rows "
+            "are not full row rank (redundant constraints can be removed)"
+        )
 
 
 class SparseMat:

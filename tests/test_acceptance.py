@@ -221,7 +221,7 @@ def test_criterion_7_mhe_simulation():
     rms_pairs = []
     rms_ok = True
     for seed in range(5):
-        r = run_mhe_simulation(seed=seed, steps=40, check_containment=False)
+        r = run_mhe_simulation(seed=seed, steps=40)
         for X, x_true in zip(r.sets, r.truth[1:]):
             if not lp_contains(X, x_true):
                 violations += 1

@@ -1,10 +1,13 @@
 import argparse
 import csv
+import inspect
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conzopt import AdmmSettings, safety_verify
 from conzopt.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, build_parser, main
 
 
@@ -199,6 +202,21 @@ def test_invalid_values_exit_usage(argv, capsys):
         main(argv)
     assert exc.value.code == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["mpc", "--n", "2"], AdmmSettings()),
+    (["mhe", "--n", "2"], AdmmSettings()),
+    (["verify", "--n", "1"], inspect.signature(safety_verify).parameters["settings"].default),
+])
+def test_solver_flags_default_to_the_library_settings(argv, defaults, capsys):
+    _, doc = run_cli(capsys, *argv)
+    assert doc["settings"] == asdict(defaults)
+
+
+def test_solver_flags_override_the_library_settings(capsys):
+    _, doc = run_cli(capsys, "verify", "--n", "1", "--k-inf", "4", "--norm", "inf")
+    assert doc["settings"] == asdict(AdmmSettings(k_inf=4, norm="inf"))
 
 
 SOLVER_FLAGS = {"--eps-primal", "--eps-dual", "--rho", "--k-inf", "--max-iter", "--norm"}

@@ -54,9 +54,10 @@ def test_box_membership():
     assert box.contains(box.lo) and box.contains(box.hi)
 
 
-def test_interval_contains_strict():
+def test_interval_contains_is_closed():
     iv = Interval(0.0, 1.0)
-    assert iv.contains(0.0) and not iv.contains(0.0, strict=True)
+    assert iv.contains(0.0) and iv.contains(1.0) and iv.contains(0.5)
+    assert not iv.contains(np.nextafter(0.0, -1.0)) and not iv.contains(np.nextafter(1.0, 2.0))
 
 
 def _sample(iv, t):

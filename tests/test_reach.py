@@ -232,6 +232,16 @@ def test_dimension_mismatch_errors(second_order):
             fn(bad, sys, 2)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_horizon_must_be_a_nonnegative_integer(second_order, method):
+    X0, sys = second_order
+    with pytest.raises(TypeError):
+        METHODS[method](X0, sys, 2.7)
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        METHODS[method](X0, sys, -1)
+    assert len(METHODS[method](X0, sys, np.int64(2))) == 3
+
+
 def _measured_system(dt=1.0):
     A = SparseMat(np.array([[1.0, dt], [0.0, 1.0]]))
     B = SparseMat(np.array([[0.5 * dt ** 2], [dt]]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conzopt import AdmmSettings, ReachDims, predict_complexity
+from conzopt import AdmmSettings, ReachDims, predict_complexity, safety_verify
 from conzopt.scenarios import (
     corridor_mpc_scenario,
     mhe_scenario,
@@ -49,6 +49,13 @@ def test_corridor_counts_match_prediction():
 def test_corridor_rejects_nonpositive_horizon(horizon):
     with pytest.raises(ValueError, match="horizon"):
         corridor_mpc_scenario(1, horizon=horizon)
+
+
+@pytest.mark.parametrize("kwargs", [{"f": 1.9}, {"f": 1, "horizon": 5.5}])
+def test_corridor_counts_must_be_integers(kwargs):
+    # 1.9 once truncated silently to f = 1
+    with pytest.raises(TypeError):
+        corridor_mpc_scenario(**kwargs)
 
 
 def test_corridor_scaling_factor_dimensions():
@@ -127,7 +134,7 @@ def test_mhe_simulation_sound_and_converged():
 def test_mhe_truth_stays_in_domain():
     sc = mhe_scenario()
     for seed in range(3):
-        r = run_mhe_simulation(seed=seed, steps=40, check_containment=False)
+        r = run_mhe_simulation(seed=seed, steps=40)
         speeds = np.linalg.norm(r.truth[:, 2:], axis=1)
         assert np.max(speeds) <= 1.0  # inside the velocity hexagon's inscribed circle
 
@@ -142,6 +149,32 @@ def test_safety_scenario_gain_is_stabilizing():
     sc = safety_scenario()
     closed = sc.sys.A.toarray() - sc.sys.B.toarray() @ sc.K.toarray()
     assert np.max(np.abs(np.linalg.eigvals(closed))) < 1.0
+
+
+def test_run_counts_must_be_integers():
+    base = corridor_mpc_scenario(1, horizon=3)
+    sc = safety_scenario(n_steps=2)
+    with pytest.raises(TypeError):
+        run_mpc_closed_loop(base, 1.5)
+    with pytest.raises(TypeError):
+        run_mpc_closed_loop(base, 1, horizon=2.5)
+    with pytest.raises(TypeError):
+        run_mhe_simulation(steps=2.5)
+    with pytest.raises(TypeError):
+        safety_verify(sc.sys, sc.K, sc.x_refs, sc.W, sc.X0, sc.O, sc.R_map, 1.5)
+
+
+def test_safety_verify_default_is_the_scenario_default():
+    # a near miss, where certificates need 2 to 21 iterations, so the cadence shows
+    sc = safety_scenario(n_steps=8, obstacle_center=(2.0, 1.6))
+    ref = run_safety_scenario(sc)
+    own = safety_verify(sc.sys, sc.K, sc.x_refs, sc.W, sc.X0, sc.O, sc.R_map, sc.N)
+    flags = [(s.certified, s.iterations) for s in own]
+    assert flags == [(s.certified, s.iterations) for s in ref]
+    assert all(certified for certified, _ in flags) and max(i for _, i in flags) > 10
+    every_tenth = safety_verify(sc.sys, sc.K, sc.x_refs, sc.W, sc.X0, sc.O, sc.R_map, sc.N,
+                                AdmmSettings())
+    assert [s.iterations for s in every_tenth] != [i for _, i in flags]
 
 
 def test_safety_obstacle_override_blocks_certification():

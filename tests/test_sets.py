@@ -34,6 +34,29 @@ def test_conzono_validation():
         ConZono(SparseMat(np.eye(2)), np.zeros(2), SparseMat(np.ones((1, 2))), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["G", "c", "A", "b"])
+def test_conzono_rejects_non_finite_entries(name, bad):
+    parts = {"G": np.eye(2), "c": np.zeros(2), "A": np.ones((1, 2)), "b": np.zeros(1)}
+    parts[name] = parts[name].copy()
+    parts[name].flat[0] = bad
+    with pytest.raises(ValueError, match=f"^{name} has a NaN or infinite entry"):
+        ConZono(parts["G"], parts["c"], parts["A"], parts["b"])
+
+
+def test_json_rejects_non_finite_center():
+    d = unit_box().to_json_dict()
+    d["c"] = [float("nan"), 0.0]
+    with pytest.raises(ValueError, match="^c "):
+        ConZono.from_json_dict(d)
+
+
+def test_polygon_vertex_count_must_be_an_integer():
+    with pytest.raises(TypeError):
+        make_regular_polygon(6.9, 1.0)
+    assert make_regular_polygon(np.int64(6), 1.0).n_g == 3
+
+
 def test_affine_identity_preserves_structure():
     Z = unit_box()
     out = affine_map(SparseMat.eye(2), Z)
@@ -283,14 +306,14 @@ def test_rotation_uncertainty_rejects_negative_error():
 def test_json_roundtrip_bit_stable(rng):
     Z = random_zonotope(rng, 3, 4)
     Zc = generalized_intersection(Z, affine_map(SparseMat.eye(3), Z, [0.1, 0.0, 0.0]))
-    text = Zc.to_json()
-    back = ConZono.from_json(text)
+    text = json.dumps(Zc.to_json_dict())
+    back = ConZono.from_json_dict(json.loads(text))
     assert np.array_equal(back.G.toarray(), Zc.G.toarray())
     assert np.array_equal(back.A.toarray(), Zc.A.toarray())
     assert np.array_equal(back.c, Zc.c)
     assert np.array_equal(back.b, Zc.b)
     # a second pass through text must be byte-identical
-    assert ConZono.from_json(text).to_json() == text
+    assert json.dumps(ConZono.from_json_dict(json.loads(text)).to_json_dict()) == text
 
 
 def test_json_schema_fields():
