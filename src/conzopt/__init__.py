@@ -10,7 +10,6 @@ predictive-control, estimation, and safety-verification problems.
 from .admm import (
     AdmmResult,
     AdmmSettings,
-    ConstraintRankError,
     EmptySetError,
     IndeterminateResultError,
     QpProblem,

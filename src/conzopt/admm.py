@@ -23,12 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .intervals import IntervalBox
-from .sets import ConZono
-from .sparse import RankDeficiencyError, SparseMat, block_triplets, ldlt_factorize, ldlt_solve
-
-
-class ConstraintRankError(ValueError):
-    """Constraint rows of the set are not linearly independent."""
+from .sets import ConZono, generalized_intersection, point_set
+from .sparse import SparseMat, block_triplets, ldlt_factorize, ldlt_solve
 
 
 class EmptySetError(RuntimeError):
@@ -96,7 +92,7 @@ class ReducedQp:
     Holds P~ = G^T P G, q~ = G^T (P c + q) and the saddle matrix
     M = [[P~ + rho I, A^T], [A, 0]] with its factorization, which both the
     iterations and the certificate projection solve with. Raises
-    ConstraintRankError when A is not full row rank. Immutable and
+    RankDeficiencyError when A is not full row rank. Immutable and
     shareable across solves.
     """
 
@@ -111,14 +107,7 @@ class ReducedQp:
                                     np.concatenate([cols, rows[a], diag]),
                                     np.concatenate([vals, vals[a], np.full(n_g, float(rho))]),
                                     (n_g + n_c,) * 2)
-        try:
-            factor_m = ldlt_factorize(M)
-        except RankDeficiencyError as err:
-            raise ConstraintRankError(
-                "constraint matrix is not full row rank (pivot "
-                f"{err.pivot_value:.3e} at index {err.pivot_index}); redundant "
-                "constraints can be removed before solving"
-            ) from err
+        factor_m = ldlt_factorize(M)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "rho", float(rho))
         object.__setattr__(self, "p_tilde", p_tilde)
@@ -327,30 +316,41 @@ def infeasibility_check(reduced: ReducedQp, xi, zeta):
     return v[:, 0] if outside[0] else None
 
 
+def _without_empty_rows(Z: ConZono):
+    """Z without its constraint rows that store no entry, or None when one proves Z empty.
+
+    Such a row reads 0 = b_i: a nonzero b_i makes Z empty, exactly and
+    without a factorization, and a zero one constrains nothing.
+    """
+    empty = np.bincount(Z.A._m.indices, minlength=Z.n_c) == 0
+    if not empty.any():
+        return Z
+    if np.any(Z.b[empty] != 0.0):
+        return None
+    return ConZono(Z.G, Z.c, SparseMat(Z.A._m[~empty]), Z.b[~empty])
+
+
 def check_empty(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> AdmmResult:
     """Run the feasibility-mode iterations on Z and report the outcome.
 
-    status "infeasible" means a certificate proves Z is empty;
-    "converged" means a feasible point was found.
+    status "infeasible" means Z is empty; "converged" means a feasible
+    point was found. A constraint row with no stored entry reads 0 = b_i:
+    if any such b_i is nonzero, Z is empty and the result is "infeasible"
+    at 0 iterations with no certificate; otherwise those rows are dropped,
+    and a set with no row left is "converged" at 0 iterations. Any other
+    "infeasible" carries the solver's certificate. Dependent rows among
+    the rest, which ``generalized_intersection`` makes from dependent
+    generator rows, raise RankDeficiencyError.
     """
-    if Z.n_g == 0:
-        empty = bool(np.any(Z.b != 0.0))
+    kept = _without_empty_rows(Z)
+    if kept is None or kept.n_c == 0:
         return AdmmResult(
-            status="infeasible" if empty else "converged",
-            x_star=Z.c.copy(),
-            xi=np.zeros(0), zeta=np.zeros(0), u=np.zeros(0),
-            iterations=0,
-            certificate=None,
-        )
-    if Z.n_c == 0:
-        return AdmmResult(
-            status="converged",
+            status="infeasible" if kept is None else "converged",
             x_star=Z.c.copy(),
             xi=np.zeros(Z.n_g), zeta=np.zeros(Z.n_g), u=np.zeros(Z.n_g),
             iterations=0,
         )
-    reduced = reduce_feasibility(Z, settings)
-    return admm_solve(reduced, settings)
+    return admm_solve(reduce_feasibility(kept, settings), settings)
 
 
 def is_empty(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> bool:
@@ -370,30 +370,20 @@ def is_empty(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> bool:
 
 
 def contains_point(Z: ConZono, x, settings: AdmmSettings = AdmmSettings()) -> bool:
-    """Point membership via emptiness of the constraint-augmented set.
+    """Point membership: x lies in Z iff Z intersected with {x} is nonempty.
 
-    The generator rows are appended as additional constraint rows
-    pinning G xi = x - c, so no generators are added. Coordinates with a
-    structurally zero generator row are flat: they are decided by exact
-    comparison and dropped from the augmentation, which would otherwise
-    violate the full-row-rank requirement. A non-finite point raises ValueError.
+    The intersection pins G xi = x - c with one constraint row per
+    coordinate. A coordinate whose generator row stores no entry gives a
+    row 0 = x_i - c_i, which ``check_empty`` decides exactly; dependent
+    generator rows raise RankDeficiencyError. A point of the wrong length
+    or with a non-finite coordinate raises ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[0] != Z.dim:
         raise ValueError(f"point of length {x.shape[0]} does not match set dimension {Z.dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("point has a non-finite coordinate")
-    offset = x - Z.c
-    flat = np.bincount(Z.G._m.indices, minlength=Z.dim) == 0
-    if np.any(offset[flat] != 0.0):
-        return False
-    # every entry of G sits in a kept row; its pin row is Z.n_c plus the number of kept rows above it
-    pin_row = Z.n_c - 1 + np.cumsum(~flat)
-    rows, cols, vals = block_triplets([(0, 0, Z.A), (0, 0, Z.G)])
-    rows[Z.A.nnz:] = pin_row[rows[Z.A.nnz:]]
-    A = SparseMat.from_triplets(rows, cols, vals, (Z.n_c + Z.dim - int(flat.sum()), Z.n_g))
-    augmented = ConZono(Z.G, Z.c, A, np.concatenate([Z.b, offset[~flat]]))
-    return not is_empty(augmented, settings)
+    return not is_empty(generalized_intersection(Z, point_set(x)), settings)
 
 
 def support(Z: ConZono, d, settings: AdmmSettings = AdmmSettings()) -> float:
@@ -413,9 +403,10 @@ def support_batch(Z: ConZono, directions, settings: AdmmSettings = AdmmSettings(
     """Support values for directions given as the columns of a Z.dim-row array.
 
     All directions share one factorization of the zero-cost problem,
-    reduced with settings.rho. Raises ValueError when the array does not
-    have Z.dim rows or holds a non-finite entry; rows are never read as
-    directions.
+    reduced with settings.rho. Constraint rows with no stored entry follow
+    ``check_empty``'s rule, and a nonzero rhs there raises EmptySetError.
+    Raises ValueError when the array does not have Z.dim rows or holds a
+    non-finite entry; rows are never read as directions.
     """
     D = np.asarray(directions, dtype=float)
     if D.ndim != 2 or D.shape[0] != Z.dim:
@@ -423,7 +414,10 @@ def support_batch(Z: ConZono, directions, settings: AdmmSettings = AdmmSettings(
                          "one direction per column")
     if not np.all(np.isfinite(D)):
         raise ValueError("directions have a non-finite entry")
-    reduced = reduce_support(Z, settings)
+    kept = _without_empty_rows(Z)
+    if kept is None:
+        raise EmptySetError("support of an empty set")
+    reduced = reduce_support(kept, settings)
     q_cols = -Z.G.rmatvec(D)
     results = _iterate_batch(reduced, q_cols, settings)
     values = np.empty(D.shape[1])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmSettings, ConstraintRankError, EmptySetError, IndeterminateResultError
+from .admm import AdmmSettings, EmptySetError, IndeterminateResultError
 from .builders import SAFETY_SETTINGS
 from .reach import REACH_METHODS, ReachDims, predict_complexity
 from .scenarios import (
@@ -31,6 +32,7 @@ from .scenarios import (
     safety_scenario,
     second_order_scenario,
 )
+from .sparse import RankDeficiencyError
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -92,6 +94,11 @@ def _obstacle(text):
     if len(parts) not in (2, 3) or not np.all(np.isfinite(parts)) or min(parts[2:], default=0.0) < 0:
         raise argparse.ArgumentTypeError(f"expected CX,CY[,R] as finite numbers with R >= 0, got {text!r}")
     return dict(zip(("obstacle_center", "obstacle_inradius"), (tuple(parts[:2]), *parts[2:])))
+
+
+def _default(fn, name):
+    """The default of fn's parameter name, so a flag restates no library default."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _add_output(parser):
@@ -160,13 +167,10 @@ def cmd_reach(args):
             "n_g": X_N.n_g, "n_c": X_N.n_c,
             "predicted": asdict(pred),
         }
-    sweep = []
-    if args.sweep:
-        for n in range(1, args.sweep + 1):
-            for method, fn in REACH_METHODS.items():
-                X_N = fn(X0, sys, n)[-1]
-                sweep.append({"method": method, "N": n,
-                              "nnz_g": X_N.G.nnz, "nnz_a": X_N.A.nnz})
+    # one recursion to N = SWEEP per method returns every X_N on the way
+    runs = {method: fn(X0, sys, args.sweep) for method, fn in REACH_METHODS.items()} if args.sweep else {}
+    sweep = [{"method": method, "N": n, "nnz_g": sets[n].G.nnz, "nnz_a": sets[n].A.nnz}
+             for n in range(1, args.sweep + 1) for method, sets in runs.items()]
     doc = {"scenario": "reach2nd", "N": args.n, "counts": counts,
            "sets": sets_json, "sweep": sweep}
     _emit(args, "reach", doc, records)
@@ -298,7 +302,8 @@ def build_parser():
     p_mpc.set_defaults(fn=cmd_mpc)
 
     p_mhe = sub.add_parser("mhe", help="estimation benchmark")
-    p_mhe.add_argument("--n", type=_positive_int, default=40, help="step count (default %(default)s)")
+    p_mhe.add_argument("--n", type=_positive_int, default=_default(run_mhe_simulation, "steps"),
+                       help="step count (default %(default)s)")
     p_mhe.add_argument("--seed", type=_nonnegative_int, default=0)
     _add_solver(p_mhe, AdmmSettings())
     p_mhe.add_argument("--zero-noise", action="store_true")
@@ -306,7 +311,8 @@ def build_parser():
     p_mhe.set_defaults(fn=cmd_mhe)
 
     p_verify = sub.add_parser("verify", help="safety certification benchmark")
-    p_verify.add_argument("--n", type=_nonnegative_int, default=20, help="step count (default %(default)s)")
+    p_verify.add_argument("--n", type=_nonnegative_int, default=_default(safety_scenario, "n_steps"),
+                          help="step count (default %(default)s)")
     _add_solver(p_verify, SAFETY_SETTINGS)
     p_verify.add_argument("--obstacle", type=_obstacle, default={},
                           help="obstacle override as CX,CY[,R]")
@@ -320,7 +326,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConstraintRankError, IndeterminateResultError, EmptySetError) as err:
+    except (RankDeficiencyError, IndeterminateResultError, EmptySetError) as err:
         print(f"{parser.prog} {args.command}: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

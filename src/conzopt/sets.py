@@ -88,7 +88,7 @@ class ConZono:
 
     @classmethod
     def from_json_dict(cls, d):
-        n, n_g, n_c = int(d["n"]), int(d["nG"]), int(d["nC"])
+        n, n_g, n_c = (operator.index(d[k]) for k in ("n", "nG", "nC"))
         def triplet_mat(entries, shape):
             if not entries:
                 return SparseMat.zeros(*shape)

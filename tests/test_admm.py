@@ -3,12 +3,12 @@ import pytest
 
 from conzopt import (
     AdmmSettings,
-    ConstraintRankError,
     ConZono,
     EmptySetError,
     IndeterminateResultError,
     IntervalBox,
     QpProblem,
+    RankDeficiencyError,
     SparseMat,
     admm_solve,
     affine_map,
@@ -127,7 +127,7 @@ def test_reduce_flags_redundant_constraints():
         SparseMat.eye(2), np.zeros(2),
         SparseMat([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]),
     )
-    with pytest.raises(ConstraintRankError, match="redundant"):
+    with pytest.raises(RankDeficiencyError, match="redundant"):
         reduce_qp(QpProblem(SparseMat.eye(2), np.zeros(2), Z))
 
 
@@ -162,7 +162,7 @@ def test_dependent_rows_raise_rank_error_from_every_reduction(rows):
     A = np.array(rows)
     Z = ConZono(SparseMat.eye(3), np.zeros(3), SparseMat(A), A @ np.array([0.1, -0.2, 0.3]))
     for reduce in _reductions(Z):
-        with pytest.raises(ConstraintRankError, match="pivot"):
+        with pytest.raises(RankDeficiencyError, match="pivot"):
             reduce()
 
 
@@ -379,7 +379,7 @@ def test_is_empty_contradictory_rows_raises_rank_error():
         SparseMat.eye(2), np.zeros(2),
         SparseMat([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]),
     )
-    with pytest.raises(ConstraintRankError):
+    with pytest.raises(RankDeficiencyError):
         is_empty(Z)
 
 
@@ -571,3 +571,43 @@ def test_contains_point_flat_set():
     assert not contains_point(flat, [3.0, 3.0])
     assert contains_point(point_set([1.0, 2.0]), [1.0, 2.0])
     assert not contains_point(point_set([1.0, 2.0]), [1.0, 2.5])
+
+
+def _flat_box_intersection(y):
+    # two boxes flat in y: the y row of the intersection's constraints stores no entry
+    # and reads 0 = y - 3, so the set is empty exactly when y != 3
+    return generalized_intersection(interval_to_zono(IntervalBox([0.0, 3.0], [2.0, 3.0])),
+                                    interval_to_zono(IntervalBox([1.0, y], [4.0, y])))
+
+
+def test_empty_constraint_rows_are_decided_without_a_factorization(monkeypatch):
+    import conzopt.admm as admm_module
+
+    overlapping, disjoint = _flat_box_intersection(3.0), _flat_box_intersection(4.0)
+    res = check_empty(overlapping)
+    assert res.status == "converged"
+    assert res.x_star[1] == 3.0 and 1.0 - 2e-2 <= res.x_star[0] <= 2.0 + 2e-2
+    monkeypatch.setattr(admm_module, "ldlt_factorize", None)
+    res = check_empty(disjoint)
+    assert (res.status, res.iterations, res.certificate) == ("infeasible", 0, None)
+    assert is_empty(disjoint)
+    with pytest.raises(EmptySetError):
+        support(disjoint, [1.0, 0.0])
+
+
+def test_support_drops_empty_rows_with_a_zero_rhs():
+    Z, tight = _flat_box_intersection(3.0), AdmmSettings(eps_primal=1e-6, eps_dual=1e-6)
+    assert support(Z, [1.0, 0.0], tight) == pytest.approx(2.0, abs=1e-4)
+    box = bounding_box(Z, tight)
+    assert np.allclose([box.lo, box.hi], [[1.0, 3.0], [2.0, 3.0]], atol=1e-4)
+
+
+def test_dependent_rows_that_are_not_empty_raise_rank_error():
+    # equal generator rows: pinning a point repeats a constraint row
+    Z = ConZono(SparseMat([[1.0, 0.5], [1.0, 0.5]]), np.zeros(2))
+    with pytest.raises(RankDeficiencyError):
+        contains_point(Z, [0.5, 0.5])
+    # an empty row with a zero rhs is dropped; the dependent rows beside it remain
+    A = SparseMat([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(RankDeficiencyError):
+        check_empty(ConZono(SparseMat.eye(2), np.zeros(2), A, np.array([0.5, 0.0, 0.5])))

@@ -9,6 +9,8 @@ import pytest
 
 from conzopt import AdmmSettings, safety_verify
 from conzopt.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, build_parser, main
+from conzopt.reach import REACH_METHODS
+from conzopt.scenarios import run_mhe_simulation, safety_scenario, second_order_scenario
 
 
 def run_cli(capsys, *argv):
@@ -155,8 +157,8 @@ def test_verify_point_obstacle_certifies(capsys):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["mhe", "--n", "2", "--rho", "1e-300"], "ConstraintRankError"),
-    (["verify", "--n", "2", "--rho", "1e300"], "ConstraintRankError"),
+    (["mhe", "--n", "2", "--rho", "1e-300"], "RankDeficiencyError"),
+    (["verify", "--n", "2", "--rho", "1e300"], "RankDeficiencyError"),
     (["mhe", "--n", "2", "--max-iter", "1"], "IndeterminateResultError"),
 ])
 def test_solver_errors_exit_no_convergence(argv, error, capsys):
@@ -212,6 +214,25 @@ def test_invalid_values_exit_usage(argv, capsys):
 def test_solver_flags_default_to_the_library_settings(argv, defaults, capsys):
     _, doc = run_cli(capsys, *argv)
     assert doc["settings"] == asdict(defaults)
+
+
+@pytest.mark.parametrize("command, fn, name", [
+    ("mhe", run_mhe_simulation, "steps"),
+    ("verify", safety_scenario, "n_steps"),
+])
+def test_step_count_defaults_to_the_library_signature(command, fn, name):
+    assert build_parser().parse_args([command]).n == inspect.signature(fn).parameters[name].default
+
+
+def test_sweep_entries_equal_per_horizon_runs(capsys):
+    _, doc = run_cli(capsys, "reach", "--n", "2", "--sweep", "5")
+    X0, sys = second_order_scenario()
+    expected = []
+    for n in range(1, 6):
+        for method, fn in REACH_METHODS.items():
+            X_n = fn(X0, sys, n)[-1]
+            expected.append({"method": method, "N": n, "nnz_g": X_n.G.nnz, "nnz_a": X_n.A.nnz})
+    assert doc["sweep"] == expected
 
 
 def test_solver_flags_override_the_library_settings(capsys):

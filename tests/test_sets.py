@@ -339,6 +339,15 @@ def test_json_rejects_non_integral_indices():
     assert ConZono.from_json_dict(d).G.triplets() == [(0, 0, 1.0), (1, 1, 1.0)]
 
 
+@pytest.mark.parametrize("key, value", [("n", 2.7), ("nG", 1.9), ("nC", 0.0)])
+def test_json_rejects_non_integer_counts(key, value):
+    # a count is an integer: truncating "n": 2.7 would build a 2-dimensional set
+    d = unit_box().to_json_dict()
+    d[key] = value
+    with pytest.raises(TypeError):
+        ConZono.from_json_dict(d)
+
+
 def test_sets_are_immutable():
     Z = unit_box()
     with pytest.raises(AttributeError):
