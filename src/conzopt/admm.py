@@ -24,7 +24,7 @@ import numpy as np
 
 from .intervals import IntervalBox
 from .sets import ConZono, generalized_intersection, point_set
-from .sparse import SparseMat, block_triplets, ldlt_factorize, ldlt_solve
+from .sparse import SparseMat, _count, block_triplets, ldlt_factorize, ldlt_solve
 
 
 class EmptySetError(RuntimeError):
@@ -57,8 +57,7 @@ class AdmmSettings:
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"{name} must be finite and positive")
         for name in ("k_inf", "max_iter"):
-            if not isinstance(getattr(self, name), (int, np.integer)) or getattr(self, name) < 1:
-                raise ValueError(f"{name} must be an integer of at least 1")
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         if self.norm not in ("l2", "inf"):
             raise ValueError(f"unknown norm {self.norm!r}")
 
@@ -162,16 +161,6 @@ class AdmmResult:
     iterations: int
     certificate: np.ndarray | None = None
     residuals: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
-
-    def to_json_dict(self):
-        return {
-            "status": self.status,
-            "x_star": self.x_star.tolist(),
-            "iterations": self.iterations,
-            "residual_primal": self.residuals[:, 0].tolist(),
-            "residual_dual": self.residuals[:, 1].tolist(),
-            "certificate": None if self.certificate is None else self.certificate.tolist(),
-        }
 
 
 def _residual_norms(rp, rd, norm):

@@ -9,7 +9,6 @@ states and inputs through a recorded offset index.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from .intervals import IntervalBox
 from .reach import LinearSystem, _fused_domains, _last_block, unroll
 from .sets import ConZono, generalized_intersection, interval_to_zono, point_set
 from .sets import cartesian_product  # noqa: F401  (perfbench/tests patch it under this name)
-from .sparse import SparseMat, blkdiag
+from .sparse import SparseMat, _count, blkdiag
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,7 @@ class MpcSpec:
             m = getattr(self, name)
             if not isinstance(m, SparseMat):
                 object.__setattr__(self, name, SparseMat(m))
+        object.__setattr__(self, "N", _count(self.N, "N"))
         n_x, n_u = self.sys.n_x, self.sys.n_u
         if self.x0.shape[0] != n_x:
             raise ValueError(f"initial state of length {self.x0.shape[0]} does not match n_x={n_x}")
@@ -158,6 +158,7 @@ class MheSpec:
             m = getattr(self, name)
             if not isinstance(m, SparseMat):
                 object.__setattr__(self, name, SparseMat(m))
+        object.__setattr__(self, "N", _count(self.N, "N"))
         if self.sys.C is None:
             raise ValueError("estimation needs a system with a measurement map")
         if len(self.inputs) != self.N or len(self.measurements) != self.N:
@@ -225,13 +226,19 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
     feasibility-mode solver on the intersection of the reachable set
     with the unsafe set through R_map; a certificate proves the step
     safe. An iteration-limited check is reported as not certified.
+
+    N >= 0 steps give N + 1 certificates, for X_0..X_N; x_refs needs at
+    least N entries.
     """
+    N = _count(N, "N")
+    if len(x_refs) < N:
+        raise ValueError(f"need {N} references, got {len(x_refs)}")
     K = K if isinstance(K, SparseMat) else SparseMat(K)
     a_closed, noise_map = SparseMat(sys.A._m - sys.B._m @ K._m), SparseMat.eye(sys.n_x)
 
     results = []
     X = X0
-    for k in range(operator.index(N) + 1):
+    for k in range(N + 1):
         clash = generalized_intersection(X, O, R_map)
         outcome = check_empty(clash, settings)
         results.append(

@@ -32,7 +32,7 @@ from .scenarios import (
     safety_scenario,
     second_order_scenario,
 )
-from .sparse import RankDeficiencyError
+from .sparse import RankDeficiencyError, _count
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -67,18 +67,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _count_flag(minimum):
+    """Flag type for a count: the library's count rule, a violation exiting 64 with its message."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        try:
+            return _count(value, "value", minimum)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return parse
 
 
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
-    return value
+_positive_int, _nonnegative_int = _count_flag(1), _count_flag(0)
 
 
 def _positive_float(text):

@@ -18,7 +18,6 @@ for set-valued state estimation follow the same standard/sparse split.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .sets import (
     generalized_intersection,
     minkowski_sum,
 )
-from .sparse import SparseMat, blkdiag, block_triplets, hcat
+from .sparse import SparseMat, _count, blkdiag, block_triplets, hcat
 
 
 @dataclass(frozen=True)
@@ -76,14 +75,6 @@ class LinearSystem:
 def _check_x0(X0: ConZono, sys: LinearSystem):
     if X0.dim != sys.n_x:
         raise ValueError(f"initial set has dimension {X0.dim}, expected {sys.n_x}")
-
-
-def _horizon(N) -> int:
-    """N as an int: a float or a negative count raises instead of truncating."""
-    N = operator.index(N)
-    if N < 0:
-        raise ValueError("horizon must be nonnegative")
-    return N
 
 
 def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
@@ -164,7 +155,7 @@ def reach_standard(X0: ConZono, sys: LinearSystem, N):
     """Reachable sets X_0..X_N by the direct image/sum recursion."""
     _check_x0(X0, sys)
     sets = [X0]
-    for _ in range(_horizon(N)):
+    for _ in range(_count(N, "horizon")):
         propagated = minkowski_sum(affine_map(sys.A, sets[-1]), affine_map(sys.B, sys.U))
         sets.append(generalized_intersection(propagated, sys.S))
     return sets
@@ -197,7 +188,7 @@ def reach_graph(X0: ConZono, sys: LinearSystem, N):
     psi = _graph_set(sys)
     select_xu = hcat(SparseMat.eye(n_x + n_u), SparseMat.zeros(n_x + n_u, n_x))
     sets = [X0]
-    for _ in range(_horizon(N)):
+    for _ in range(_count(N, "horizon")):
         lifted = generalized_intersection(psi, cartesian_product(sets[-1], sys.U), select_xu)
         sets.append(_last_block(lifted, n_x))
     return sets
@@ -212,7 +203,7 @@ def reach_sparse(X0: ConZono, sys: LinearSystem, N):
     """
     _check_x0(X0, sys)
     sets = [X0]
-    for _ in range(_horizon(N)):
+    for _ in range(_count(N, "horizon")):
         pinned = unroll(sets[-1], sys.A, sys.B, [(sys.U, sys.S, np.zeros(sys.n_x))])
         sets.append(_last_block(pinned, sys.n_x))
     return sets
@@ -274,8 +265,7 @@ class ComplexityPrediction:
 
     def __post_init__(self):
         for name in ("n_g", "n_c", "nnz_g_bound", "nnz_a_bound"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            _count(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -310,7 +300,7 @@ def predict_complexity(method, N, dims: ReachDims) -> ComplexityPrediction:
     product are fully dense; structural zero blocks are propagated
     exactly, so actual counts never exceed the bounds.
     """
-    N = _horizon(N)
+    N = _count(N, "horizon")
     d = dims
     if N == 0:
         return ComplexityPrediction(d.n_g0, d.n_c0, d.n_x * d.n_g0, d.n_c0 * d.n_g0)

@@ -8,7 +8,6 @@ reference paths, obstacle placement) is generated procedurally.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .sets import (
     make_regular_polygon,
     minkowski_sum,
 )
-from .sparse import SparseMat
+from .sparse import SparseMat, _count
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +115,11 @@ def corridor_mpc_scenario(f=1, horizon=None) -> MpcSpec:
     position sets, with 12-gon velocity and input sets.
 
     f >= 1 refines the discretization: the horizon scales as 55 f and
-    the time step as 1/f.
+    the time step as 1/f. A given horizon must be at least 1.
     """
-    f = operator.index(f)
-    if f < 1:
-        raise ValueError("scale factor must be a positive integer")
+    f = _count(f, "f", 1)
     dt = 1.0 / f
-    N = 55 * f if horizon is None else operator.index(horizon)
-    if N < 1:
-        raise ValueError("horizon must be a positive integer")
+    N = 55 * f if horizon is None else _count(horizon, "horizon", 1)
 
     d_vec, path_x, path_y = _corridor_path(f)
     n_pts = len(d_vec)
@@ -261,12 +256,13 @@ def run_mpc_closed_loop(base: MpcSpec, steps, horizon=None,
     defaulting to base.N; a horizon reaching past base.N repeats the
     last set and ref. Returns per-step (status, iterations, x, u); the
     applied input u is the first planned one and the plant follows the
-    nominal dynamics.
+    nominal dynamics. steps >= 0 (zero gives no outcomes), horizon >= 1.
     """
-    horizon = base.N if horizon is None else operator.index(horizon)
+    steps = _count(steps, "steps")
+    horizon = _count(base.N if horizon is None else horizon, "horizon", 1)
     x = np.asarray(base.x0, dtype=float)
     outcomes = []
-    for k in range(operator.index(steps)):
+    for k in range(steps):
         Z, P, q, idx = build_mpc(shift_mpc_spec(base, k, x, horizon))
         reduced = reduce_qp(QpProblem(P, q, Z), settings)
         result = admm_solve(reduced, settings)
@@ -356,13 +352,14 @@ class MheSimResult:
 
 def run_mhe_simulation(seed=0, steps=40, settings: AdmmSettings = AdmmSettings(),
                        zero_noise=False) -> MheSimResult:
-    """Closed 40-step estimation run with a recursively updated window prior.
+    """Closed estimation run of steps >= 1 steps with a recursively updated window prior.
 
     The applied input gently regulates the true velocity so the plant
     stays well inside its domain set for every seed. The window prior
     advances one measurement-update step once the window is full and is
     replaced by its padded bounding box every 10 steps.
     """
+    steps = _count(steps, "steps", 1)
     sc = mhe_scenario()
     sys = sc.sys
     rng = np.random.default_rng(seed)
@@ -380,7 +377,7 @@ def run_mhe_simulation(seed=0, steps=40, settings: AdmmSettings = AdmmSettings()
     prior_set = sc.X_init
     prior_estimate = sc.X_init.c.copy()
 
-    for t in range(1, operator.index(steps) + 1):
+    for t in range(1, steps + 1):
         k = t - 1
         v_now = truth[-1][2:]
         u = -0.25 * v_now + 0.03 * np.array([np.cos(2 * np.pi * k / 20.0),
@@ -473,8 +470,9 @@ def safety_scenario(n_steps=20, obstacle_center=(6.0, -5.0), obstacle_inradius=1
 
     The velocity disturbance is biased upward, so the tube drifts off
     the reference; the default obstacle sits clear of the resulting
-    swept region.
+    swept region. n_steps >= 0 (zero certifies X0 alone).
     """
+    n_steps = _count(n_steps, "n_steps")
     dt = 0.5
     A, B = double_integrator(dt)
     S = cartesian_product(make_regular_polygon(6, 500.0), make_regular_polygon(6, 1.0))

@@ -7,12 +7,10 @@ new sets; inputs are never mutated.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .intervals import Interval, IntervalBox
-from .sparse import SparseMat, blkdiag, block_triplets, hcat, multiply
+from .sparse import SparseMat, _count, blkdiag, block_triplets, hcat, multiply
 
 
 class ConZono:
@@ -88,7 +86,6 @@ class ConZono:
 
     @classmethod
     def from_json_dict(cls, d):
-        n, n_g, n_c = (operator.index(d[k]) for k in ("n", "nG", "nC"))
         def triplet_mat(entries, shape):
             if not entries:
                 return SparseMat.zeros(*shape)
@@ -96,9 +93,9 @@ class ConZono:
             rows, cols, vals = zip(*((e[0], e[1], float(e[2])) for e in entries))
             return SparseMat.from_triplets(rows, cols, vals, shape)
         return cls(
-            triplet_mat(d["G"], (n, n_g)),
+            triplet_mat(d["G"], (d["n"], d["nG"])),
             np.asarray(d["c"], dtype=float),
-            triplet_mat(d["A"], (n_c, n_g)),
+            triplet_mat(d["A"], (d["nC"], d["nG"])),
             np.asarray(d["b"], dtype=float),
         )
 
@@ -160,7 +157,7 @@ def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
     if n_rows != Z2.dim:
         raise ValueError(f"map with {n_rows} rows does not land in a set of dimension {Z2.dim}")
     n_g, n_c = Z1.n_g + Z2.n_g, Z1.n_c + Z2.n_c
-    G = SparseMat.from_blocks([(0, 0, Z1.G)], (Z1.dim, n_g))
+    G = Z1.G if Z2.n_g == 0 else SparseMat.from_blocks([(0, 0, Z1.G)], (Z1.dim, n_g))
     rows, cols, vals = block_triplets([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A),
                                        (n_c, 0, RG1), (n_c, Z1.n_g, Z2.G)])
     vals[len(vals) - Z2.G.nnz:] *= -1.0
@@ -180,16 +177,16 @@ def interval_to_zono(box: IntervalBox) -> ConZono:
 
 
 def make_regular_polygon(m, inradius, center=(0.0, 0.0)) -> ConZono:
-    """Centrally symmetric regular m-gon (m even) as a planar zonotope.
+    """Centrally symmetric regular m-gon (m even, at least 4) as a planar zonotope.
 
     The polygon has m vertices and inscribed-circle radius ``inradius``,
     which must be finite and nonnegative (zero gives the point
     ``center``); the m/2 generators are successive half edge vectors,
     the first aligned with the +x axis.
     """
-    m = operator.index(m)
-    if m < 4 or m % 2 != 0:
-        raise ValueError(f"a centrally symmetric polygon needs an even vertex count >= 4, got {m}")
+    m = _count(m, "m", 4)
+    if m % 2 != 0:
+        raise ValueError(f"a centrally symmetric polygon needs an even vertex count, got {m}")
     inradius = float(inradius)
     if not 0.0 <= inradius < np.inf:
         raise ValueError(f"inradius must be finite and nonnegative, got {inradius}")

@@ -275,12 +275,24 @@ def _csc(data, indices, indptr, shape, cls=sp.csc_matrix):
     return m
 
 
+def _count(value, name, minimum=0):
+    """A count (horizon, step count, size) as a Python int: the one rule for every count.
+
+    ``operator.index`` decides what an integer is: Python and numpy
+    integers are, a bool reads as 0 or 1, and anything else (a float,
+    even an integral one such as 2.0) raises TypeError. A value below
+    ``minimum`` raises ValueError naming ``name``.
+    """
+    value = operator.index(value)
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
 def _shape(dims):
-    """Dimensions as Python ints; TypeError unless integral, ValueError if negative."""
-    dims = tuple(operator.index(d) for d in dims)
-    if min(dims, default=0) < 0:
-        raise ValueError(f"invalid shape {dims}: dimensions must be nonnegative")
-    return dims
+    """Dimensions as Python ints, each a count."""
+    return tuple(_count(d, "dimension") for d in dims)
 
 
 def _index_dtype(*sizes):
@@ -390,8 +402,9 @@ def _symbolic(n, Ap, Ai):
                     lnz[i] += 1
                     flag[i] = k
                     i = parent[i]
+    # column pointers of L with its unit diagonal: each column holds it and lnz entries below
     Lp = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lnz, out=Lp[1:])
+    np.cumsum(lnz + 1, out=Lp[1:])
     result = (parent, Lp)
     with _symbolic_lock:
         if len(_symbolic_cache) >= _SYMBOLIC_CACHE_MAX:
@@ -433,8 +446,10 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
     threshold = _PIVOT_REL_TOL * (m.max_abs() if m.nnz else 1.0)
     parent, Lp = _symbolic(n, Ap, Ai)
 
-    Li = np.zeros(Lp[-1], dtype=np.int64)
-    Lx = np.zeros(Lp[-1], dtype=float)
+    # L's arrays: each column's unit diagonal first, above the slots elimination fills
+    Li = np.empty(Lp[-1], dtype=np.int64)
+    Li[Lp[:-1]] = np.arange(n)
+    Lx = np.ones(Lp[-1])
     D = np.zeros(n, dtype=float)
     y = np.zeros(n, dtype=float)
     pattern = np.zeros(n, dtype=np.int64)
@@ -465,7 +480,7 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
             i = pattern[t]
             yi = y[i]
             y[i] = 0.0
-            p0 = Lp[i]
+            p0 = Lp[i] + 1
             p1 = p0 + lnz[i]
             if p1 > p0:
                 idx = Li[p0:p1]
@@ -478,16 +493,10 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
         if abs(D[k]) <= threshold:
             raise RankDeficiencyError(k, D[k])
 
-    # L's arrays with the unit diagonal first in each column, above the sorted rows below it
-    idx = _index_dtype(n, Lp[-1] + n)
-    Lp_unit = (Lp + np.arange(n + 1)).astype(idx)
-    diag, below = Lp_unit[:-1], np.ones(Lp_unit[-1], dtype=bool)
-    below[diag] = False
-    Li_unit = np.empty(Lp_unit[-1], dtype=idx)
-    Li_unit[diag], Li_unit[below] = np.arange(n), Li
-    Lx_unit = np.ones(Lp_unit[-1])
-    Lx_unit[below] = Lx
-    return LdltFactor(SparseMat(_Csc(Lx_unit, Li_unit, Lp_unit, (n, n))), D)
+    # scipy's index dtype (int64 above keeps the loop's fancy indexing fast); astype
+    # copies, so the symbolic cache keeps its own Lp
+    idx = _index_dtype(n, Lp[-1])
+    return LdltFactor(SparseMat(_Csc(Lx, Li.astype(idx), Lp.astype(idx), (n, n))), D)
 
 
 def ldlt_solve(factor: LdltFactor, rhs):

@@ -144,6 +144,9 @@ def test_build_mpc_validates_lengths():
     with pytest.raises(ValueError):
         MpcSpec(sys=spec.sys, x0=spec.x0, refs=spec.refs[:1], Q=spec.Q, R=spec.R,
                 Q_N=spec.Q_N, N=2, state_sets=spec.state_sets)
+    with pytest.raises(TypeError):                  # once accepted, failing later inside build_mpc
+        MpcSpec(sys=spec.sys, x0=spec.x0, refs=spec.refs, Q=spec.Q, R=spec.R,
+                Q_N=spec.Q_N, N=2.0, state_sets=spec.state_sets)
 
 
 def _mhe_pieces(N=3):
@@ -236,6 +239,10 @@ def test_build_mhe_validates_window_lengths():
         MheSpec(sys=sys, W=W, V=V, prior_set=prior, prior_estimate=np.zeros(2),
                 prior_info=SparseMat.zeros(2, 2), Q_inv=Q_inv, R_inv=R_inv,
                 inputs=[np.zeros(1)], measurements=[], N=1)
+    with pytest.raises(TypeError):                  # once accepted, failing later inside build_mhe
+        MheSpec(sys=sys, W=W, V=V, prior_set=prior, prior_estimate=np.zeros(2),
+                prior_info=SparseMat.zeros(2, 2), Q_inv=Q_inv, R_inv=R_inv,
+                inputs=[np.zeros(1)], measurements=[np.zeros(2)], N=1.0)
 
 
 def test_reduce_prior_box_contains_set(rng):

@@ -162,6 +162,28 @@ def test_run_counts_must_be_integers():
         run_mhe_simulation(steps=2.5)
     with pytest.raises(TypeError):
         safety_verify(sc.sys, sc.K, sc.x_refs, sc.W, sc.X0, sc.O, sc.R_map, 1.5)
+    with pytest.raises(TypeError):
+        safety_scenario(n_steps=2.0)
+
+
+def test_run_counts_below_their_minimum_raise_value_error():
+    base = corridor_mpc_scenario(1, horizon=3)
+    sc = safety_scenario(n_steps=2)
+    with pytest.raises(ValueError, match="steps"):
+        run_mpc_closed_loop(base, -2)               # once returned []
+    with pytest.raises(ValueError, match="horizon"):
+        run_mpc_closed_loop(base, 1, horizon=0)     # once an IndexError
+    assert run_mpc_closed_loop(base, 0) == []
+    with pytest.raises(ValueError, match="steps"):
+        run_mhe_simulation(steps=0)                 # once an IndexError
+    with pytest.raises(ValueError, match="n_steps"):
+        safety_scenario(n_steps=-2)                 # once a scenario with N = -2
+    with pytest.raises(ValueError, match="references"):
+        safety_verify(sc.sys, sc.K, sc.x_refs, sc.W, sc.X0, sc.O, sc.R_map, 3)   # once an IndexError
+    # once [], which reads as "every step certified"
+    with pytest.raises(ValueError, match="N must be nonnegative"):
+        safety_verify(sc.sys, sc.K, sc.x_refs, sc.W, sc.X0, sc.O, sc.R_map, -1)
+    assert len(safety_verify(sc.sys, sc.K, [], sc.W, sc.X0, sc.O, sc.R_map, 0)) == 1
 
 
 def test_safety_verify_default_is_the_scenario_default():

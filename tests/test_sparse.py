@@ -28,7 +28,22 @@ from conzopt import (
     vcat,
 )
 from conzopt.scenarios import corridor_mpc_scenario, mhe_scenario, safety_scenario
+from conzopt.sparse import _count
 from oracles import dense_ldlt
+
+
+def test_count_is_the_one_rule_for_counts():
+    assert _count(np.int64(3), "N") == 3 and type(_count(np.int64(3), "N")) is int
+    assert _count(True, "N") == 1           # a bool is an integer, read as 0 or 1
+    assert _count(4, "m", minimum=4) == 4
+    with pytest.raises(TypeError):
+        _count(2.0, "N")                    # a float is not a count, even an integral one
+    with pytest.raises(TypeError):
+        _count(np.float64(2.0), "N")
+    with pytest.raises(ValueError, match="^steps must be nonnegative, got -1$"):
+        _count(-1, "steps")
+    with pytest.raises(ValueError, match="^horizon must be at least 1, got 0$"):
+        _count(0, "horizon", minimum=1)
 
 
 def test_transpose_swaps_indices():
