@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .intervals import IntervalBox
 from .sets import ConZono, generalized_intersection, point_set
-from .sparse import SparseMat, _count, block_triplets, ldlt_factorize, ldlt_solve
+from .sparse import SparseMat, _count, _place, ldlt_factorize, ldlt_solve
 
 
 class EmptySetError(RuntimeError):
@@ -99,13 +100,9 @@ class ReducedQp:
 
     def __init__(self, Z, rho, p_tilde, q_tilde):
         n_g, n_c = Z.n_g, Z.n_c
-        # P~ and A placed by index arithmetic; A^T is A's triplets swapped, rho I the diagonal
-        rows, cols, vals = block_triplets([(0, 0, p_tilde), (n_g, 0, Z.A)])
-        a, diag = slice(p_tilde.nnz, None), np.arange(n_g)
-        M = SparseMat.from_triplets(np.concatenate([rows, cols[a], diag]),
-                                    np.concatenate([cols, rows[a], diag]),
-                                    np.concatenate([vals, vals[a], np.full(n_g, float(rho))]),
-                                    (n_g + n_c,) * 2)
+        diag = np.arange(n_g + 1)
+        shifted = p_tilde._m + sp.csc_matrix((np.full(n_g, float(rho)), diag[:-1], diag), shape=(n_g, n_g))
+        M = _place([(0, 0, shifted), (n_g, 0, Z.A)], (n_g + n_c,) * 2, transposed=[(0, n_g, Z.A)])
         factor_m = ldlt_factorize(M)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "rho", float(rho))

@@ -30,7 +30,7 @@ from .sets import (
     generalized_intersection,
     minkowski_sum,
 )
-from .sparse import SparseMat, _count, blkdiag, block_triplets, hcat
+from .sparse import SparseMat, _column_ranges, _count, _place, blkdiag, hcat, vcat
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,9 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     coordinates of Z0, x_k = s_k for k >= 1, and ``steps`` is a sequence
     of (M_k, S_k, t_k). The constraint rows come in the order of the
     step-by-step composition: those of Z0, then per step those of M_k,
-    of S_k and the pin rows. G and A are each one ``from_triplets`` of triplets placed
-    by index arithmetic, with F_m G_M once per distinct M_k.G and all F_x x_G from one product.
+    of S_k and the pin rows. G and A are each placed once, with F_m G_M
+    computed once per distinct M_k.G and every step's F_x x_G a column range
+    of one product F_x [x_G_0 ... x_G_N-1].
     """
     n_x = F_x.shape[0]
     if Z0.dim < n_x:
@@ -118,19 +119,13 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
         n_cols = s_col + S.n_g
         x_G, x_c, x_col = S.G._m, S.c, s_col
 
-    triplets = [block_triplets(A_blocks)]
-    if pin_at:  # column block k of F_x [x_G_0 ... x_G_N-1] moves to step k's pin rows
+    if pin_at:  # column range k of F_x [x_G_0 ... x_G_N-1] goes to step k's pin rows
         b_parts[3::3] = _pin_rhs(F_x, F_m, pin_c)
-        rows, cols, vals = block_triplets(neg_blocks)
-        triplets.append((rows, cols, -vals))
         pin_rows, x_cols, x_Gs = zip(*pin_at)
-        n = [G.shape[1] for G in x_Gs]
-        rows, cols, vals = block_triplets([(0, 0, F_x._m @ (x_Gs[0] if len(x_Gs) == 1 else sp.hstack(x_Gs)))])
-        k = np.repeat(np.arange(len(n)), n)[cols]
-        triplets.append((rows + np.array(pin_rows)[k], cols + (np.array(x_cols) - np.cumsum(n) + n)[k], vals))
-    rows, cols, vals = (np.concatenate(a) for a in zip(*triplets))
+        F_x_G = F_x._m @ (x_Gs[0] if len(x_Gs) == 1 else sp.hstack(x_Gs))
+        A_blocks += zip(pin_rows, x_cols, _column_ranges(F_x_G, [G.shape[1] for G in x_Gs]))
     return ConZono(blkdiag(*[Z.G for Z in parts]), np.concatenate([Z.c for Z in parts]),
-                   SparseMat.from_triplets(rows, cols, vals, (n_rows, n_cols)), np.concatenate(b_parts))
+                   _place(A_blocks, (n_rows, n_cols), negated=neg_blocks), np.concatenate(b_parts))
 
 
 def _pin_rhs(F_x, F_m, pin_c):
@@ -139,10 +134,11 @@ def _pin_rhs(F_x, F_m, pin_c):
     Each row adds its terms in the order a CSC matrix-vector product of
     [F_x F_m -I] adds them: column by column, starting from zero.
     """
-    rows, cols, vals = block_triplets([(0, 0, F_x), (0, F_x.shape[1], F_m)])   # in CSC order
     t, x_c, c_M, c_S = (np.array(v, dtype=float) for v in zip(*pin_c))
     y = np.zeros(t.shape)
-    np.add.at(y, (np.arange(len(t))[:, None], rows), vals * np.hstack([x_c, c_M])[:, cols])
+    for F, v in ((F_x._m, x_c), (F_m._m, c_M)):
+        for j, (p0, p1) in enumerate(zip(F.indptr[:-1], F.indptr[1:])):
+            y[:, F.indices[p0:p1]] += F.data[p0:p1] * v[:, j:j + 1]
     return list(t - (y - c_S))
 
 
@@ -164,13 +160,7 @@ def reach_standard(X0: ConZono, sys: LinearSystem, N):
 def _graph_set(sys: LinearSystem) -> ConZono:
     # lifted set pairing (x, u) in S x U with their image A x + B u in S
     n_x, n_u = sys.n_x, sys.n_u
-    lift = SparseMat(
-        np.vstack([
-            np.hstack([np.eye(n_x), np.zeros((n_x, n_u))]),
-            np.hstack([np.zeros((n_u, n_x)), np.eye(n_u)]),
-            np.hstack([sys.A.toarray(), sys.B.toarray()]),
-        ])
-    )
+    lift = vcat(SparseMat.eye(n_x + n_u), hcat(sys.A, sys.B))
     domain = cartesian_product(sys.S, sys.U)
     project_out = hcat(SparseMat.zeros(n_x, n_x), SparseMat.zeros(n_x, n_u), SparseMat.eye(n_x))
     return generalized_intersection(affine_map(lift, domain), sys.S, project_out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .intervals import Interval, IntervalBox
-from .sparse import SparseMat, _count, blkdiag, block_triplets, hcat, multiply
+from .sparse import SparseMat, _count, _place, blkdiag, hcat, multiply
 
 
 class ConZono:
@@ -157,11 +157,9 @@ def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
     if n_rows != Z2.dim:
         raise ValueError(f"map with {n_rows} rows does not land in a set of dimension {Z2.dim}")
     n_g, n_c = Z1.n_g + Z2.n_g, Z1.n_c + Z2.n_c
-    G = Z1.G if Z2.n_g == 0 else SparseMat.from_blocks([(0, 0, Z1.G)], (Z1.dim, n_g))
-    rows, cols, vals = block_triplets([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A),
-                                       (n_c, 0, RG1), (n_c, Z1.n_g, Z2.G)])
-    vals[len(vals) - Z2.G.nnz:] *= -1.0
-    A = SparseMat.from_triplets(rows, cols, vals, (n_c + n_rows, n_g))
+    G = Z1.G if Z2.n_g == 0 else _place([(0, 0, Z1.G)], (Z1.dim, n_g))
+    A = _place([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A), (n_c, 0, RG1)], (n_c + n_rows, n_g),
+               negated=[(n_c, Z1.n_g, Z2.G)])
     return ConZono(G, Z1.c, A, np.concatenate([Z1.b, Z2.b, Z2.c - Rc1]))
 
 

@@ -12,17 +12,13 @@ explicit zeros in place. Code inside the package composes the stored
 scipy matrices (``SparseMat._m``, never mutated) and wraps only the
 result, so each matrix it returns is built once.
 
-Assembly writes CSC arrays directly, with no COO object in between:
-``from_triplets`` orders validated (row, col, value) triplets by a
-stable sort on (column, row) and takes the column pointers from the
-per-column counts (counting assembly, as in CSparse's ``cs_compress``);
-``from_blocks``, ``hcat``, ``vcat`` and ``blkdiag`` place every block's
-CSC arrays by index arithmetic, leaving out blocks with no entries, and
-go through it, and a dense input is read off its nonzero pattern in
-column order. Arrays built this way, and those of ``zeros``, ``eye`` and
-the factor L, reach the constructor as a ``_Csc``: it takes them as its
-own, with neither a copy nor scipy's validating constructor, which
-would only check them again.
+Every matrix the package assembles from pieces, in this module or any
+other, is written by ``_place`` from non-overlapping blocks, so no
+other module handles (row, col, value) triplets; ``from_triplets`` only
+validates such data from outside. The arrays ``_place`` writes, and
+those of ``zeros``, ``eye``, a dense input and the factor L, reach the
+constructor as a ``_Csc``, which it takes without a copy or scipy's
+validating constructor.
 
 ``ldlt_factorize`` reads the upper triangle off the sorted columns of M
 and writes L's unit diagonal into the factor's arrays, and
@@ -108,36 +104,16 @@ class SparseMat:
 
     @classmethod
     def from_triplets(cls, rows, cols, vals, shape):
-        """Matrix of the given shape with vals[k] at (rows[k], cols[k]).
-
-        Counting assembly: one stable sort on (column, row) puts the
-        entries in CSC order and the column pointers are the cumulative
-        per-column counts, so the CSC arrays are written directly and
-        handed to the constructor, which sums duplicates in the order
-        given and drops zeros. Indices must be integral (integer arrays,
-        or floats with integral values) and inside the shape; anything
-        else raises ValueError.
-        """
+        """Matrix of the given shape with vals[k] at (rows[k], cols[k]), duplicates summed,
+        for data from outside such as a set read from JSON: indices that are not integral
+        (integers, or floats with integral values) or not inside the shape raise ValueError."""
         n_rows, n_cols = shape = _shape(shape)
         rows, cols = _index_array(rows, n_rows, "row"), _index_array(cols, n_cols, "column")
         vals = np.asarray(vals, dtype=float)
         if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
             raise ValueError(f"triplet arrays of shapes {rows.shape}, {cols.shape} and {vals.shape} "
                              "are not one-dimensional of one length")
-        order = np.argsort(cols * n_rows + rows, kind="stable")
-        idx = _index_dtype(n_rows, n_cols, len(vals))
-        indptr = np.zeros(n_cols + 1, dtype=idx)
-        np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
-        return cls(_Csc(vals[order], rows[order].astype(idx, copy=False), indptr, shape))
-
-    @classmethod
-    def from_blocks(cls, blocks, shape):
-        """Matrix of the given shape holding each (row, col, block) at that
-        offset: ``from_triplets`` on the ``block_triplets`` of the blocks;
-        blocks may be SparseMat or scipy matrices, and an empty list, or
-        one of empty blocks only, gives the zero matrix."""
-        rows, cols, vals = block_triplets(blocks)
-        return cls.from_triplets(rows, cols, vals, shape) if len(vals) else cls.zeros(*shape)
+        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape))
 
     @property
     def shape(self):
@@ -163,10 +139,10 @@ class SparseMat:
         return self._m.toarray()
 
     def triplets(self):
-        """(row, col, value) triplets in column-major order."""
-        coo = self._m.tocoo()
-        order = np.lexsort((coo.row, coo.col))
-        return [(int(coo.row[i]), int(coo.col[i]), float(coo.data[i])) for i in order]
+        """(row, col, value) triplets in column-major order, read off the CSC arrays."""
+        m = self._m
+        cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+        return list(zip(m.indices.tolist(), cols.tolist(), m.data.tolist()))
 
     @property
     def T(self):
@@ -228,32 +204,66 @@ def multiply(a: SparseMat, b):
     return a.matvec(b)
 
 
-def block_triplets(blocks):
-    """(rows, cols, vals) of (row, col, block) triplets: column j of a block at (r, c)
-    becomes column c + j, its rows shifted by r; non-CSC blocks are converted first
-    and blocks with no stored entries are left out."""
-    placed = [(r, c, m._m if isinstance(m, SparseMat) else m if m.format == "csc" else m.tocsc())
-              for r, c, m in blocks]
-    placed = [b for b in placed if b[2].indptr[-1]]
+def _place(blocks, shape, negated=(), transposed=()):
+    """Matrix of the given shape holding each (row, col, block) at that offset, each block
+    of ``negated`` times -1 and each of ``transposed`` transposed. Blocks are SparseMat,
+    ``_column_ranges`` views or scipy matrices without duplicate entries; other formats are
+    converted to CSC, and unsorted indices (a product's) sorted in place. A stable sort on
+    the column merges each column's entries in block-row order, so the arrays come out
+    canonical. A block outside the shape, or blocks whose entries collide or interleave in
+    a column, raise ValueError."""
+    placed = []
+    for sign, flip, group in ((1.0, False, blocks), (-1.0, False, negated), (1.0, True, transposed)):
+        for r, c, m in group:
+            if isinstance(m, SparseMat):
+                m = m._m
+            elif type(m) is not _Csc:             # a _Csc column range comes sorted
+                m = m if m.format == "csc" else m.tocsc()
+                m.sort_indices()                  # only where has_sorted_indices is false
+            h, w = m.shape[::-1] if flip else m.shape
+            if r < 0 or c < 0 or r + h > shape[0] or c + w > shape[1]:
+                raise ValueError(f"a block of shape {(h, w)} at ({r}, {c}) is out of range for shape {shape}")
+            if len(m.indices):
+                placed.append((r, c, m, sign, flip))
     if not placed:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
-    r, c, mats = zip(*placed)
-    ptrs = [m.indptr for m in mats]
-    slots, nnz = [len(p) for p in ptrs], [int(p[-1]) for p in ptrs]
-    first_slot, first_entry = accumulate(slots[:-1], initial=0), accumulate(nnz[:-1], initial=0)
+        return SparseMat.zeros(*shape)
+    r, c, mats, signs, flips = zip(*sorted(placed, key=operator.itemgetter(0)))
+    nnz, slots = np.array([len(m.indices) for m in mats]), np.array([len(m.indptr) for m in mats])
     # the indptrs end to end, each shifted by the entries before it: a block's last
     # slot equals the next block's first, so no entry falls between blocks
-    ptr = np.concatenate(ptrs) + np.repeat(list(first_entry), slots)
-    slot_col = np.repeat([cb - s for cb, s in zip(c, first_slot)], slots) + np.arange(len(ptr))
-    return (np.concatenate([m.indices for m in mats]) + np.repeat(r, nnz),
-            np.repeat(slot_col[:-1], np.diff(ptr)),
-            np.concatenate([m.data for m in mats]))
+    ptr = np.concatenate([m.indptr for m in mats]) + np.repeat(np.cumsum(nnz) - nnz, slots)
+    major = np.repeat(np.arange(len(ptr) - 1) - np.repeat(np.cumsum(slots) - slots, slots)[:-1], np.diff(ptr))
+    minor = np.concatenate([m.indices for m in mats])
+    if any(flips):                                   # a transposed block's columns are its rows
+        flip = np.repeat(flips, nnz)
+        major, minor = np.where(flip, minor, major), np.where(flip, major, minor)
+    row, col = np.repeat(np.array(r), nnz) + minor, np.repeat(np.array(c), nnz) + major
+    order = np.argsort(col, kind="stable")
+    idx = _index_dtype(*shape, len(col))
+    indptr = np.zeros(shape[1] + 1, dtype=idx)
+    np.cumsum(np.bincount(col, minlength=shape[1]), out=indptr[1:])
+    data = (np.concatenate([m.data for m in mats]) * np.repeat(signs, nnz))[order]
+    csc = _Csc(data, row[order].astype(idx), indptr, shape)
+    if not _csc(*csc).has_canonical_format:
+        raise ValueError("blocks overlap: entries of one column collide or fall out of row order")
+    return SparseMat(csc)
+
+
+def _column_ranges(m, widths):
+    """Consecutive column ranges of a scipy CSC matrix m, as ``_Csc`` views of m's arrays
+    (sorted in place first) for ``_place``."""
+    m.sort_indices()
+    p = m.indptr
+    bounds = list(accumulate(widths, initial=0))
+    return [_Csc(m.data[p[a]:p[b]], m.indices[p[a]:p[b]], p[a:b + 1] - p[a], (m.shape[0], b - a))
+            for a, b in zip(bounds, bounds[1:])]
 
 
 class _Csc(NamedTuple):
     """CSC arrays built for one new matrix, which takes them without a copy or a check:
     ``indptr`` runs from 0 to ``len(indices)``, every index lies inside ``shape``,
-    and no other object holds the arrays. Duplicates and zeros may remain."""
+    and no other object holds the arrays. Duplicates and zeros may remain. (A
+    ``_column_ranges`` view, read only by ``_place``, shares its matrix's arrays.)"""
 
     data: np.ndarray
     indices: np.ndarray
@@ -324,7 +334,7 @@ def hcat(*mats):
     if len({m.n_rows for m in mats}) != 1:
         raise ValueError(f"cannot hcat matrices with row counts {[m.shape for m in mats]}")
     cols = list(accumulate((m.n_cols for m in mats), initial=0))
-    return SparseMat.from_blocks([(0, c, m) for c, m in zip(cols, mats)], (mats[0].n_rows, cols[-1]))
+    return _place([(0, c, m) for c, m in zip(cols, mats)], (mats[0].n_rows, cols[-1]))
 
 
 def vcat(*mats):
@@ -332,15 +342,15 @@ def vcat(*mats):
     if len({m.n_cols for m in mats}) != 1:
         raise ValueError(f"cannot vcat matrices with column counts {[m.shape for m in mats]}")
     rows = list(accumulate((m.n_rows for m in mats), initial=0))
-    return SparseMat.from_blocks([(r, 0, m) for r, m in zip(rows, mats)], (rows[-1], mats[0].n_cols))
+    return _place([(r, 0, m) for r, m in zip(rows, mats)], (rows[-1], mats[0].n_cols))
 
 
 def blkdiag(*mats):
-    """Block-diagonal matrix: ``from_blocks`` on the diagonal offsets."""
+    """Block-diagonal matrix: ``_place`` on the diagonal offsets."""
     mats = [SparseMat(m) if not isinstance(m, SparseMat) else m for m in mats]
     rows = list(accumulate((m.n_rows for m in mats), initial=0))
     cols = list(accumulate((m.n_cols for m in mats), initial=0))
-    return SparseMat.from_blocks(list(zip(rows, cols, mats)), (rows[-1], cols[-1]))
+    return _place(list(zip(rows, cols, mats)), (rows[-1], cols[-1]))
 
 
 class LdltFactor:

@@ -44,6 +44,23 @@ def test_conzono_rejects_non_finite_entries(name, bad):
         ConZono(parts["G"], parts["c"], parts["A"], parts["b"])
 
 
+_HUGE = ConZono(SparseMat.eye(1), [1e308])
+
+_OVERFLOWS = {   # each result's center or rhs overflows to an infinity
+    "minkowski_sum": ("c", lambda: minkowski_sum(_HUGE, _HUGE)),
+    "generalized_intersection": ("b", lambda: generalized_intersection(_HUGE, ConZono(SparseMat.eye(1), [-1e308]))),
+    "affine_map": ("c", lambda: affine_map(SparseMat.eye(1), _HUGE, [1e308])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OVERFLOWS))
+def test_overflowing_set_arithmetic_raises(op):
+    name, make = _OVERFLOWS[op]
+    # numpy's overflow warning is an error under the project's warning filter; the set must refuse the infinity
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{name} has a NaN or infinite entry"):
+        make()
+
+
 def test_json_rejects_non_finite_center():
     d = unit_box().to_json_dict()
     d["c"] = [float("nan"), 0.0]

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conzopt import (
     ConZono,
+    IntervalBox,
+    LinearSystem,
     MheSpec,
     QpProblem,
     RankDeficiencyError,
@@ -19,6 +21,7 @@ from conzopt import (
     build_mpc,
     generalized_intersection,
     hcat,
+    interval_to_zono,
     ldlt_factorize,
     ldlt_solve,
     multiply,
@@ -28,7 +31,7 @@ from conzopt import (
     vcat,
 )
 from conzopt.scenarios import corridor_mpc_scenario, mhe_scenario, safety_scenario
-from conzopt.sparse import _count
+from conzopt.sparse import _count, _place
 from oracles import dense_ldlt
 
 
@@ -78,25 +81,40 @@ def test_concat_dimension_errors():
         vcat(SparseMat(np.ones((2, 2))), SparseMat(np.ones((2, 3))))
 
 
-def test_from_blocks_matches_coo_assembly(rng):
+def test_place_matches_coo_assembly():
     csr = sp.random(3, 4, density=0.5, format="csr", random_state=1)
     base = sp.random(4, 3, density=0.6, format="csc", random_state=2)
     unsorted = sp.csc_matrix((np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]), np.array([0, 2, 2, 3])),
                              shape=(3, 3))
-    zeros = sp.csc_matrix((np.array([0.0, 5.0, 0.0]), np.array([0, 1, 1]), np.array([0, 1, 3])),
-                          shape=(2, 2))
+    zeros = sp.csc_matrix((np.array([0.0, 5.0]), np.array([0, 1]), np.array([0, 1, 2])), shape=(2, 2))
+    negated = sp.csc_matrix(np.array([[1.5, 0.0], [-2.0, 4.0]]))
     assert not unsorted.has_sorted_indices
-    blocks = [(0, 0, csr), (3, 1, base.T), (1, 5, unsorted), (5, 6, zeros), (4, 0, SparseMat(base))]
-    shape = (9, 9)
-    got = SparseMat.from_blocks(blocks, shape).tocsc()
-    coos = [b.tocoo() if sp.issparse(b) else b.tocsc().tocoo() for _, _, b in blocks]
+    blocks = [(0, 0, csr), (3, 1, base.T), (1, 5, unsorted), (5, 6, zeros), (6, 0, SparseMat(base))]
+    shape = (10, 9)
+    flipped = sp.csc_matrix(np.array([[2.0], [0.0], [-1.0]]))
+    got = _place(blocks, shape, negated=[(7, 4, negated)], transposed=[(9, 6, flipped)]).tocsc()
+    placed = blocks + [(7, 4, -negated), (9, 6, flipped.T)]
+    coos = [_scipy(b).tocoo() for _, _, b in placed]
     ref = SparseMat(sp.coo_matrix((np.concatenate([m.data for m in coos]),
-                                   (np.concatenate([m.row + r for (r, _, _), m in zip(blocks, coos)]),
-                                    np.concatenate([m.col + c for (_, c, _), m in zip(blocks, coos)]))),
+                                   (np.concatenate([m.row + r for (r, _, _), m in zip(placed, coos)]),
+                                    np.concatenate([m.col + c for (_, c, _), m in zip(placed, coos)]))),
                                   shape=shape)).tocsc()
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
     assert got.indices.dtype == ref.indices.dtype
+
+
+def test_place_rejects_overlapping_blocks():
+    with pytest.raises(ValueError, match="overlap"):     # both blocks hold an entry at (1, 1)
+        _place([(0, 0, SparseMat.eye(2)), (1, 1, SparseMat.eye(2))], (3, 3))
+    with pytest.raises(ValueError, match="overlap"):     # the same, through a negated block
+        _place([(0, 0, SparseMat.eye(2))], (3, 3), negated=[(1, 1, SparseMat.eye(2))])
+    with pytest.raises(ValueError, match="overlap"):     # and through a transposed one
+        _place([(0, 0, SparseMat.eye(2))], (3, 3), transposed=[(1, 1, SparseMat.eye(2))])
+    with pytest.raises(ValueError, match="overlap"):     # rows 0 and 2 from one block, row 1 from another
+        _place([(0, 0, SparseMat([[1.0], [0.0], [1.0]])), (1, 0, SparseMat([[1.0]]))], (3, 1))
+    with pytest.raises(ValueError, match="overlap"):     # a block holding row 0 of column 0 twice
+        _place([(0, 0, sp.csc_matrix((np.ones(2), np.array([0, 0]), np.array([0, 2])), shape=(2, 1)))], (2, 1))
 
 
 def test_from_triplets_rejects_non_integral_indices():
@@ -125,13 +143,13 @@ def test_from_triplets_rejects_out_of_range_indices():
     with pytest.raises(ValueError, match="column index out of range"):
         SparseMat.from_triplets([0], [0], [1.0], (2, 0))
     with pytest.raises(ValueError, match="out of range"):
-        SparseMat.from_blocks([(1, 0, SparseMat.eye(2))], (2, 2))
+        _place([(1, 0, SparseMat.eye(2))], (2, 2))
     with pytest.raises(ValueError, match="one length"):
         SparseMat.from_triplets([0, 1], [0], [1.0], (2, 2))
 
 
 def test_empty_block_lists():
-    z = SparseMat.from_blocks([], (2, 3))
+    z = _place([], (2, 3))
     assert z.shape == (2, 3) and z.nnz == 0
     assert blkdiag().shape == (0, 0)
     with pytest.raises(ValueError, match="hcat"):
@@ -195,9 +213,10 @@ _VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
 
 @st.composite
-def _raw_blocks(draw, n_rows=None, n_cols=None):
-    """A scipy or SparseMat block: raw CSC or CSR arrays holding duplicates, explicit
-    zeros and unsorted indices, a COO matrix, or a product whose entries may cancel."""
+def _raw_blocks(draw, n_rows=None, n_cols=None, unique=False):
+    """A scipy or SparseMat block: raw CSC or CSR arrays holding duplicates (none when
+    ``unique``), explicit zeros and unsorted indices, a COO matrix, or a product whose
+    entries may cancel."""
     n_rows = draw(st.integers(0, 4)) if n_rows is None else n_rows
     n_cols = draw(st.integers(0, 4)) if n_cols is None else n_cols
     kind = draw(st.sampled_from(["csc", "csr", "coo", "product", "sparsemat"]))
@@ -207,7 +226,8 @@ def _raw_blocks(draw, n_rows=None, n_cols=None):
                 for r, c in ((n_rows, inner), (inner, n_cols)))
         return sp.csr_matrix(x) @ sp.csc_matrix(y)
     cells = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), _VALUES)
-    entries = draw(st.lists(cells, max_size=10)) if n_rows and n_cols else []
+    entries = draw(st.lists(cells, max_size=10, unique_by=(lambda e: e[:2]) if unique else None)) \
+        if n_rows and n_cols else []
     rows, cols, vals = (np.array(v, dtype=d) for v, d in zip(zip(*entries) if entries else ([], [], []),
                                                              (np.int32, np.int32, float)))
     if kind in ("coo", "sparsemat"):
@@ -253,18 +273,26 @@ def test_from_triplets_matches_scipy_coo(n_rows, n_cols, data):
 
 @given(st.integers(0, 8), st.integers(0, 8), st.data())
 @settings(max_examples=150, deadline=None)
-def test_from_blocks_matches_scipy_coo(n_rows, n_cols, data):
-    blocks = []
-    for _ in range(data.draw(st.integers(0, 4))):   # placed anywhere, so blocks may overlap
-        b = data.draw(_raw_blocks(data.draw(st.integers(0, min(n_rows, 4))),
-                                  data.draw(st.integers(0, min(n_cols, 4)))))
-        blocks.append((data.draw(st.integers(0, n_rows - b.shape[0])),
-                       data.draw(st.integers(0, n_cols - b.shape[1])), b))
-    coos = [_scipy(b).tocoo() for _, _, b in blocks]
-    rows = np.concatenate([np.zeros(0, int)] + [m.row + r for (r, _, _), m in zip(blocks, coos)])
-    cols = np.concatenate([np.zeros(0, int)] + [m.col + c for (_, c, _), m in zip(blocks, coos)])
+def test_place_matches_scipy_coo(n_rows, n_cols, data):
+    # one block or none in each cell of a random grid, so blocks never overlap
+    cuts = [sorted(data.draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3)) | {0, n}) if n else [0]
+            for n in (n_rows, n_cols)]
+    groups = {"blocks": [], "negated": [], "transposed": []}
+    for r0, r1 in zip(cuts[0], cuts[0][1:]):
+        for c0, c1 in zip(cuts[1], cuts[1][1:]):
+            if data.draw(st.booleans()):
+                h, w = data.draw(st.integers(0, r1 - r0)), data.draw(st.integers(0, c1 - c0))
+                group = data.draw(st.sampled_from(sorted(groups)))
+                b = data.draw(_raw_blocks(*((w, h) if group == "transposed" else (h, w)), unique=True))
+                groups[group].append((data.draw(st.integers(r0, r1 - h)), data.draw(st.integers(c0, c1 - w)), b))
+    placed = (groups["blocks"] + [(r, c, -_scipy(b)) for r, c, b in groups["negated"]]
+              + [(r, c, _scipy(b).T) for r, c, b in groups["transposed"]])
+    coos = [_scipy(b).tocoo() for _, _, b in placed]
+    rows = np.concatenate([np.zeros(0, int)] + [m.row + r for (r, _, _), m in zip(placed, coos)])
+    cols = np.concatenate([np.zeros(0, int)] + [m.col + c for (_, c, _), m in zip(placed, coos)])
     ref = sp.coo_matrix((np.concatenate([[]] + [m.data for m in coos]), (rows, cols)), shape=(n_rows, n_cols))
-    _assert_same_csc(SparseMat.from_blocks(blocks, (n_rows, n_cols)), _canonical(ref.tocsc()))
+    _assert_same_csc(_place(groups["blocks"], (n_rows, n_cols), negated=groups["negated"],
+                            transposed=groups["transposed"]), _canonical(ref.tocsc()))
 
 
 @given(st.integers(0, 4), st.data())
@@ -523,11 +551,11 @@ def test_from_triplets_sums_duplicates_and_drops_zeros():
     assert np.array_equal(m.toarray(), [[3.0, 5.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.5]])
 
 
-def test_from_blocks_skips_empty_blocks():
+def test_place_skips_empty_blocks():
     block = sp.csc_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
     blocks = [(0, 0, SparseMat.zeros(2, 2)), (1, 2, block), (0, 4, sp.coo_matrix((3, 1))),
               (2, 0, sp.csr_matrix((1, 2)))]
-    m = SparseMat.from_blocks(blocks, (3, 5))
+    m = _place(blocks, (3, 5))
     _assert_canonical(m)
     _assert_owns(m, block)
     block.data[:] = 7.0
@@ -536,7 +564,7 @@ def test_from_blocks_skips_empty_blocks():
     assert np.array_equal(m.toarray(), expect)
     # blocks without entries only: the zero matrix, as from an empty list
     for blocks in ([(0, 0, SparseMat.zeros(2, 2)), (1, 1, sp.coo_matrix((1, 2)))], []):
-        z = SparseMat.from_blocks(blocks, (3, 3))
+        z = _place(blocks, (3, 3))
         _assert_canonical(z)
         assert z.shape == (3, 3) and z.nnz == 0 and np.array_equal(z._m.indptr, np.zeros(4))
 
@@ -672,3 +700,43 @@ def test_ldlt_factor_arrays_pinned(name):
     f = ldlt_factorize(M)
     L = f.L._m
     assert _digest(L.indptr, L.indices, L.data, f.D) == factor_digest
+
+
+# ---------------------------------------------------------------------------
+# assembly pinned bit for bit on exactly representable data
+
+# every value below is a small dyadic rational, so each sum and product the
+# assembly forms is exact and the arrays are the same on every platform
+_DYADIC_DIGESTS = {
+    "tube": "98166f770612f44b935b57f672b188a6b9aba8cbd1e1eb17cb9510a08d43a661",
+    "clash": "126b2fdbec9e9320791bd5b9b3787f1b503ff3f6783960f4b0b7ed6c57a3a84b",
+    "saddle": "f9f6b6dbe37e01dd6f5fd8f1b782af9a2de9edd89c46e2c26c7085c4e8cb0abc",
+    "window": "645e0523a3c16628aa1a0df10a43c66852d3c2c6ae1cdcf3117311d4cf609682",
+}
+
+
+def _set_arrays(Z):
+    return [Z.G._m.indptr, Z.G._m.indices, Z.G._m.data, Z.c, Z.A._m.indptr, Z.A._m.indices, Z.A._m.data, Z.b]
+
+
+def _dyadic_assembly():
+    box = lambda lo, hi: interval_to_zono(IntervalBox(lo, hi))   # noqa: E731
+    sys = LinearSystem(SparseMat([[1.0, 0.5], [-0.25, 1.0]]), SparseMat([[0.125], [0.5]]),
+                       box([-8.0, -8.0], [8.0, 8.0]), box([-1.0], [1.0]), SparseMat([[1.0, -0.5]]))
+    X0 = box([-0.5, 0.25], [0.5, 0.75])
+    tube = unroll(X0, sys.A, sys.B, [(sys.U, sys.S, np.array([0.0, 0.25 * k])) for k in range(3)])
+    R = hcat(SparseMat.zeros(2, tube.dim - 2), SparseMat([[1.0, 0.5], [0.0, -1.0]]))
+    clash = generalized_intersection(tube, box([1.0, -2.0], [3.0, 2.0]), R)
+    spec = MheSpec(sys=sys, W=box([-0.25, -0.125], [0.25, 0.125]), V=box([-0.5], [0.5]), prior_set=X0,
+                   prior_estimate=X0.c, prior_info=SparseMat.eye(2, 0.5), Q_inv=SparseMat.eye(2, 4.0),
+                   R_inv=SparseMat([[2.0]]), inputs=[[0.5], [-0.25], [0.0]],
+                   measurements=[[0.25], [1.0], [-0.75]], N=3)
+    Z, P, q, _, _ = build_mhe(spec)
+    M = reduce_feasibility(clash).M._m
+    return {"tube": _set_arrays(tube), "clash": _set_arrays(clash),
+            "saddle": [M.indptr, M.indices, M.data],
+            "window": _set_arrays(Z) + [P._m.indptr, P._m.indices, P._m.data, q]}
+
+
+def test_assembly_arrays_pinned_on_dyadic_data():
+    assert {name: _digest(*arrays) for name, arrays in _dyadic_assembly().items()} == _DYADIC_DIGESTS
