@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .intervals import IntervalBox
 from .sets import ConZono, generalized_intersection, point_set
-from .sparse import SparseMat, _count, _place, ldlt_factorize, ldlt_solve
+from .sparse import SparseMat, _count, _place, _shift_diagonal, ldlt_factorize, ldlt_solve
 
 
 class EmptySetError(RuntimeError):
@@ -100,9 +99,8 @@ class ReducedQp:
 
     def __init__(self, Z, rho, p_tilde, q_tilde):
         n_g, n_c = Z.n_g, Z.n_c
-        diag = np.arange(n_g + 1)
-        shifted = p_tilde._m + sp.csc_matrix((np.full(n_g, float(rho)), diag[:-1], diag), shape=(n_g, n_g))
-        M = _place([(0, 0, shifted), (n_g, 0, Z.A)], (n_g + n_c,) * 2, transposed=[(0, n_g, Z.A)])
+        M = _place([(0, 0, _shift_diagonal(p_tilde, float(rho))), (n_g, 0, Z.A)], (n_g + n_c,) * 2,
+                   transposed=[(0, n_g, Z.A)])
         factor_m = ldlt_factorize(M)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "rho", float(rho))

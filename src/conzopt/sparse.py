@@ -24,6 +24,10 @@ validating constructor.
 and writes L's unit diagonal into the factor's arrays, and
 ``is_symmetric`` compares M's arrays with those of M^T in place when
 the two patterns agree, so a factorization builds no matrix besides L.
+The factorization is split in two: a symbolic pass, cached per sparsity
+pattern, walks the elimination tree once and records L's column pointers
+and, for every row, the columns it eliminates in order; the numeric pass
+replays that schedule and does only the arithmetic.
 """
 
 from __future__ import annotations
@@ -249,6 +253,26 @@ def _place(blocks, shape, negated=(), transposed=()):
     return SparseMat(csc)
 
 
+def _shift_diagonal(m, shift):
+    """CSC arrays of the square SparseMat m + shift I, for ``_place``: shift is added at
+    each column's diagonal slot, and a slot is inserted below the column's entries above
+    the diagonal where it has none. A diagonal entry that cancels to zero stays until
+    the matrix is built."""
+    c = m._m
+    n = c.shape[1]
+    col = np.repeat(np.arange(n), np.diff(c.indptr))
+    on = c.indices == col
+    data = c.data.copy()
+    data[on] += shift
+    missing = np.ones(n, dtype=bool)
+    missing[col[on]] = False
+    j = np.flatnonzero(missing)
+    at = c.indptr[j] + np.bincount(col[c.indices < col], minlength=n)[j]
+    indptr = c.indptr.copy()
+    indptr[1:] += np.cumsum(missing, dtype=indptr.dtype)
+    return _Csc(np.insert(data, at, shift), np.insert(c.indices, at, j), indptr, c.shape)
+
+
 def _column_ranges(m, widths):
     """Consecutive column ranges of a scipy CSC matrix m, as ``_Csc`` views of m's arrays
     (sorted in place first) for ``_place``."""
@@ -387,10 +411,21 @@ _PIVOT_REL_TOL = 1e-12
 
 
 def _symbolic(n, Ap, Ai):
-    """Elimination tree and column counts for the upper-triangular pattern.
+    """Everything the numeric pass needs of an upper-triangular pattern but its values.
 
-    Cached on the pattern bytes: repeated factorizations with identical
-    structure (e.g. a sliding estimation window) skip the symbolic pass.
+    One walk of the elimination tree builds the tree and, for every row k,
+    records the columns i < k it eliminates in the order the numeric pass
+    visits them: each path from a column of the row's pattern up the tree,
+    in walk order, later paths first. Returns L's column pointers (counting
+    each unit diagonal) and the schedule as int32 columns with row pointers,
+    so row k eliminates ``schedule[row_ptr[k]:row_ptr[k + 1]]``.
+
+    Cached on the pattern bytes, which leave out the values: repeated
+    factorizations with identical structure (a sliding estimation window, a
+    plan from another initial state) skip the walk. Each entry holds these
+    three arrays (the schedule takes 4 bytes per entry of L below its
+    diagonal), and the cache is cleared when it holds ``_SYMBOLIC_CACHE_MAX``
+    patterns.
     """
     key = (n, Ap.tobytes(), Ai.tobytes())
     with _symbolic_lock:
@@ -398,24 +433,29 @@ def _symbolic(n, Ap, Ai):
     if hit is not None:
         return hit
 
-    parent = np.full(n, -1, dtype=np.int64)
-    flag = np.full(n, -1, dtype=np.int64)
-    lnz = np.zeros(n, dtype=np.int64)
+    Ap, Ai = Ap.tolist(), Ai.tolist()
+    parent, flag, schedule, row_ptr = [-1] * n, [-1] * n, [], [0]
     for k in range(n):
         flag[k] = k
-        for p in range(Ap[k], Ap[k + 1]):
-            i = Ai[p]
-            if i < k:
-                while flag[i] != k:
-                    if parent[i] == -1:
-                        parent[i] = k
-                    lnz[i] += 1
-                    flag[i] = k
-                    i = parent[i]
-    # column pointers of L with its unit diagonal: each column holds it and lnz entries below
+        paths = []
+        for i in Ai[Ap[k]:Ap[k + 1]]:
+            path = []
+            while flag[i] != k:
+                if parent[i] == -1:
+                    parent[i] = k
+                path.append(i)
+                flag[i] = k
+                i = parent[i]
+            paths.append(path)
+        for path in reversed(paths):
+            schedule += path
+        row_ptr.append(len(schedule))
+    schedule = np.array(schedule, dtype=np.int32)
+    # column pointers of L with its unit diagonal: each column holds it and one entry per
+    # row that eliminates it
     Lp = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lnz + 1, out=Lp[1:])
-    result = (parent, Lp)
+    np.cumsum(np.bincount(schedule, minlength=n) + 1, out=Lp[1:])
+    result = (Lp, schedule, np.array(row_ptr, dtype=np.int64))
     with _symbolic_lock:
         if len(_symbolic_cache) >= _SYMBOLIC_CACHE_MAX:
             _symbolic_cache.clear()
@@ -428,10 +468,13 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
 
     Suitable for symmetric quasi-definite matrices (positive-definite
     leading block, zero trailing block, full-row-rank coupling), for
-    which this pivot sequence always exists. Elimination fills the
-    symbolic pattern of L; entries that cancel to exactly zero are
-    pruned from the returned L like any SparseMat, so L.nnz counts
-    numerical nonzeros and is deterministic.
+    which this pivot sequence always exists. The pattern of M's upper
+    triangle fetches ``_symbolic``'s schedule (computed once per pattern),
+    and row k of L is eliminated column by column in that order, with no
+    walk of the elimination tree here. Elimination fills the symbolic
+    pattern of L; entries that cancel to exactly zero are pruned from the
+    returned L like any SparseMat, so L.nnz counts numerical nonzeros and
+    is deterministic.
 
     Raises RankDeficiencyError when a pivot magnitude falls to
     1e-12 * max|m| or below, which signals that the coupling rows are
@@ -454,7 +497,7 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
     Ax = m._m.data[upper]
 
     threshold = _PIVOT_REL_TOL * (m.max_abs() if m.nnz else 1.0)
-    parent, Lp = _symbolic(n, Ap, Ai)
+    Lp, schedule, row_ptr = _symbolic(n, Ap, Ai)
 
     # L's arrays: each column's unit diagonal first, above the slots elimination fills
     Li = np.empty(Lp[-1], dtype=np.int64)
@@ -462,32 +505,14 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
     Lx = np.ones(Lp[-1])
     D = np.zeros(n, dtype=float)
     y = np.zeros(n, dtype=float)
-    pattern = np.zeros(n, dtype=np.int64)
-    flag = np.full(n, -1, dtype=np.int64)
     lnz = np.zeros(n, dtype=np.int64)
 
     for k in range(n):
-        top = n
-        flag[k] = k
         for p in range(Ap[k], Ap[k + 1]):
-            i = Ai[p]
-            if i > k:
-                continue
-            y[i] += Ax[p]
-            chain_len = 0
-            while flag[i] != k:
-                pattern[chain_len] = i
-                chain_len += 1
-                flag[i] = k
-                i = parent[i]
-            while chain_len > 0:
-                chain_len -= 1
-                top -= 1
-                pattern[top] = pattern[chain_len]
+            y[Ai[p]] += Ax[p]
         D[k] = y[k]
         y[k] = 0.0
-        for t in range(top, n):
-            i = pattern[t]
+        for i in schedule[row_ptr[k]:row_ptr[k + 1]].tolist():
             yi = y[i]
             y[i] = 0.0
             p0 = Lp[i] + 1

@@ -31,7 +31,7 @@ from conzopt import (
     vcat,
 )
 from conzopt.scenarios import corridor_mpc_scenario, mhe_scenario, safety_scenario
-from conzopt.sparse import _count, _place
+from conzopt.sparse import _count, _place, _shift_diagonal, _symbolic, _symbolic_cache
 from oracles import dense_ldlt
 
 
@@ -386,15 +386,19 @@ def test_ldlt_matrix_rhs(rng):
     assert np.max(np.abs(M @ X - B)) <= 1e-8
 
 
-def test_ldlt_rank_deficiency_reports_pivot():
-    # coupling rows are linearly dependent -> zero pivot in the trailing block
+def _dependent_rows_saddle():
+    """[[2 I, A^T], [A, 0]] whose coupling rows are linearly dependent."""
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    M = np.block([
+    return SparseMat(np.block([
         [np.eye(2) * 2.0, A.T],
         [A, np.zeros((2, 2))],
-    ])
+    ]))
+
+
+def test_ldlt_rank_deficiency_reports_pivot():
+    # coupling rows are linearly dependent -> zero pivot in the trailing block
     with pytest.raises(RankDeficiencyError) as err:
-        ldlt_factorize(SparseMat(M))
+        ldlt_factorize(_dependent_rows_saddle())
     assert err.value.pivot_index == 3
 
 
@@ -700,6 +704,58 @@ def test_ldlt_factor_arrays_pinned(name):
     f = ldlt_factorize(M)
     L = f.L._m
     assert _digest(L.indptr, L.indices, L.data, f.D) == factor_digest
+
+
+def _factor_or_pivot(M):
+    """L's arrays and D as bytes, or the index of the pivot that stopped the factorization."""
+    try:
+        f = ldlt_factorize(M)
+    except RankDeficiencyError as err:
+        return err.pivot_index
+    L = f.L._m
+    return [(a.dtype.str, a.tobytes()) for a in (L.indptr, L.indices, L.data, f.D)]
+
+
+@pytest.mark.parametrize("name", sorted(_SADDLES) + ["dependent-rows"])
+def test_ldlt_cached_schedule_reproduces_cold_factor(name):
+    # a factorization that finds its pattern's schedule in the cache gives the bits of one
+    # that walks the elimination tree itself
+    M = _SADDLES[name]() if name in _SADDLES else _dependent_rows_saddle()
+    _symbolic_cache.clear()
+    cold = _factor_or_pivot(M)
+    (Lp, schedule, row_ptr), = _symbolic_cache.values()
+    warm = _factor_or_pivot(M)
+    assert len(_symbolic_cache) == 1
+    assert warm == cold
+    assert (cold == 3) if name == "dependent-rows" else isinstance(cold, list)
+    # int32 columns: Python ints would cost several MB of the cache's memory
+    assert schedule.dtype == np.int32 and len(schedule) == Lp[-1] - M.n_rows == row_ptr[-1]
+
+
+def test_symbolic_schedule_by_hand():
+    # upper columns {0}, {1}, {0, 1, 2}, {0, 1, 3}: row 2 walks the paths [0] and [1],
+    # row 3 walks [0, 2] and then [1], which stops at the already visited 2; each row
+    # lists its later paths first
+    M = _dependent_rows_saddle()._m
+    upper = sp.triu(M, format="csc")
+    _symbolic_cache.clear()
+    Lp, schedule, row_ptr = _symbolic(4, upper.indptr.astype(np.int64), upper.indices.astype(np.int64))
+    assert schedule.tolist() == [1, 0, 1, 0, 2]
+    assert row_ptr.tolist() == [0, 0, 0, 2, 5]
+    assert Lp.tolist() == [0, 3, 6, 8, 9]
+
+
+def test_shift_diagonal_matches_scipy_addition():
+    # full, partial and empty diagonals, one that cancels to zero, and the empty matrix
+    rng = np.random.default_rng(5)
+    cases = [sp.random(n, n, density=d, random_state=int(rng.integers(1 << 30)), format="csc")
+             for n, d in ((6, 0.9), (9, 0.3), (9, 0.05), (0, 0.0))]
+    cases += [sp.diags([-0.75, 2.0, 0.0, 3.0], format="csc"), sp.csc_matrix(np.ones((3, 3)))]
+    for s in cases:
+        m = SparseMat(s + s.T)
+        n = m.n_rows
+        ref = SparseMat(m._m + 1.5 * sp.identity(n, format="csc"))
+        _assert_same_csc(_place([(0, 0, _shift_diagonal(m, 1.5))], (n, n)), ref._m)
 
 
 # ---------------------------------------------------------------------------
