@@ -311,7 +311,7 @@ def _without_empty_rows(Z: ConZono):
         return Z
     if np.any(Z.b[empty] != 0.0):
         return None
-    return ConZono(Z.G, Z.c, SparseMat(Z.A._m[~empty]), Z.b[~empty])
+    return ConZono._of_checked(Z.G, Z.c, SparseMat(Z.A._m[~empty]), Z.b[~empty])
 
 
 def check_empty(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> AdmmResult:

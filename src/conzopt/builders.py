@@ -10,6 +10,7 @@ states and inputs through a recorded offset index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -61,8 +62,9 @@ def stack_trajectory(xs, us, idx: TrajectoryIndex):
     return z
 
 
+@cache
 def _index(n_x, n_m, N):
-    # layout x_0, m_1, x_1, ..., m_N, x_N
+    # layout x_0, m_1, x_1, ..., m_N, x_N; one frozen index per layout, shared by every build
     stride = n_x + n_m
     return TrajectoryIndex(tuple(k * stride for k in range(N + 1)),
                            tuple(n_x + k * stride for k in range(N)),

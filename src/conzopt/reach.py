@@ -19,18 +19,19 @@ for set-valued state estimation follow the same standard/sparse split.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-import scipy.sparse as sp
 
 from .sets import (
     ConZono,
+    _check_finite,
     affine_map,
     cartesian_product,
     generalized_intersection,
     minkowski_sum,
 )
-from .sparse import SparseMat, _column_ranges, _count, _place, blkdiag, hcat, vcat
+from .sparse import SparseMat, _column_ranges, _count, _csc, _place, _place_csc, blkdiag, hcat, vcat
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,9 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     step-by-step composition: those of Z0, then per step those of M_k,
     of S_k and the pin rows. G and A are each placed once, with F_m G_M
     computed once per distinct M_k.G and every step's F_x x_G a column range
-    of one product F_x [x_G_0 ... x_G_N-1].
+    of one product F_x [x_G_0 ... x_G_N-1], whose operand ``_place_csc``
+    writes. Only what is computed here is scanned for non-finite values:
+    the products with F_x and F_m, and the pin rows' rhs.
     """
     n_x = F_x.shape[0]
     if Z0.dim < n_x:
@@ -120,16 +123,23 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
         x_G, x_c, x_col = S.G._m, S.c, s_col
 
     if pin_at:  # column range k of F_x [x_G_0 ... x_G_N-1] goes to step k's pin rows
-        b_parts[3::3] = _pin_rhs(F_x, F_m, pin_c)
         pin_rows, x_cols, x_Gs = zip(*pin_at)
-        F_x_G = F_x._m @ (x_Gs[0] if len(x_Gs) == 1 else sp.hstack(x_Gs))
-        A_blocks += zip(pin_rows, x_cols, _column_ranges(F_x_G, [G.shape[1] for G in x_Gs]))
-    return ConZono(blkdiag(*[Z.G for Z in parts]), np.concatenate([Z.c for Z in parts]),
-                   _place(A_blocks, (n_rows, n_cols), negated=neg_blocks), np.concatenate(b_parts))
+        widths = [G.shape[1] for G in x_Gs]
+        x_G = x_Gs[0] if len(x_Gs) == 1 else _csc(*_place_csc(
+            [(0, c, G) for c, G in zip(accumulate(widths, initial=0), x_Gs)], (n_x, sum(widths))))
+        F_x_G = F_x._m @ x_G
+        for FG in (*fm_G.values(), F_x_G):
+            _check_finite("A", FG.data)
+        pin_b = _pin_rhs(F_x, F_m, pin_c)
+        _check_finite("b", pin_b)
+        b_parts[3::3] = pin_b
+        A_blocks += zip(pin_rows, x_cols, _column_ranges(F_x_G, widths))
+    return ConZono._of_checked(blkdiag(*[Z.G for Z in parts]), np.concatenate([Z.c for Z in parts]),
+                               _place(A_blocks, (n_rows, n_cols), negated=neg_blocks), np.concatenate(b_parts))
 
 
 def _pin_rhs(F_x, F_m, pin_c):
-    """t - [F_x F_m -I] [x_c; c_M; c_S] for each step's (t, x_c, c_M, c_S), as rows.
+    """t - [F_x F_m -I] [x_c; c_M; c_S] for each step's (t, x_c, c_M, c_S), as the rows of an array.
 
     Each row adds its terms in the order a CSC matrix-vector product of
     [F_x F_m -I] adds them: column by column, starting from zero.
@@ -139,12 +149,12 @@ def _pin_rhs(F_x, F_m, pin_c):
     for F, v in ((F_x._m, x_c), (F_m._m, c_M)):
         for j, (p0, p1) in enumerate(zip(F.indptr[:-1], F.indptr[1:])):
             y[:, F.indices[p0:p1]] += F.data[p0:p1] * v[:, j:j + 1]
-    return list(t - (y - c_S))
+    return t - (y - c_S)
 
 
 def _last_block(Z: ConZono, n) -> ConZono:
     """Projection of Z onto its last n coordinates."""
-    return ConZono(SparseMat(Z.G._m[Z.dim - n:]), Z.c[Z.dim - n:].copy(), Z.A, Z.b)
+    return ConZono._of_checked(SparseMat(Z.G._m[Z.dim - n:]), Z.c[Z.dim - n:].copy(), Z.A, Z.b)
 
 
 def reach_standard(X0: ConZono, sys: LinearSystem, N):
@@ -239,9 +249,12 @@ def _fused_domains(sys: LinearSystem, V: ConZono, ys) -> list:
     for y in ys:
         if y.shape != V.c.shape:
             raise ValueError(f"measurement of length {y.shape[0]} does not match noise set dimension {V.dim}")
-    D = generalized_intersection(sys.S, ConZono(-V.G, -V.c, V.A, V.b), sys.C)
+    D = generalized_intersection(sys.S, ConZono._of_checked(-V.G, -V.c, V.A, V.b), sys.C)
     b_head, C_cS = D.b[:D.n_c - V.dim], sys.C.matvec(sys.S.c)
-    return [ConZono(D.G, D.c, D.A, np.concatenate([b_head, (y - V.c) - C_cS])) for y in ys]
+    tails = [(y - V.c) - C_cS for y in ys]
+    for tail in tails:
+        _check_finite("b", tail)
+    return [ConZono._of_checked(D.G, D.c, D.A, np.concatenate([b_head, tail])) for tail in tails]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,11 @@
 A constrained zonotope is the set { G xi + c : A xi = b, xi in [-1,1]^nG }.
 With no constraint rows it reduces to a zonotope. All operations return
 new sets; inputs are never mutated.
+
+Every set is finite, checked where data enters: the public constructor
+scans G, c, A and b, and an operation builds its result through
+``ConZono._of_checked`` after scanning only the values it computed
+(a center, a product with a map, a constraint right-hand side).
 """
 
 from __future__ import annotations
@@ -43,12 +48,26 @@ class ConZono:
         if A.n_rows != b.shape[0]:
             raise ValueError(f"constraint matrix has {A.n_rows} rows but rhs has length {b.shape[0]}")
         for name, values in (("G", G._m.data), ("c", c), ("A", A._m.data), ("b", b)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} has a NaN or infinite entry")
+            _check_finite(name, values)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+
+    @classmethod
+    def _of_checked(cls, G, c, A, b):
+        """The set <G, c, A, b> on parts a set operation built from checked sets.
+
+        G and A are SparseMat, c and b float arrays, all of matching sizes
+        and finite: the operation scans, with ``_check_finite``, only the
+        values it computed. Nothing is converted, copied or checked here.
+        """
+        Z = object.__new__(cls)
+        object.__setattr__(Z, "G", G)
+        object.__setattr__(Z, "c", c)
+        object.__setattr__(Z, "A", A)
+        object.__setattr__(Z, "b", b)
+        return Z
 
     def __setattr__(self, name, value):
         raise AttributeError("ConZono is immutable")
@@ -100,6 +119,12 @@ class ConZono:
         )
 
 
+def _check_finite(name, values):
+    """ValueError naming set part ``name`` when one of ``values`` is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has a NaN or infinite entry")
+
+
 def point_set(x) -> ConZono:
     """Singleton {x} as a zero-generator constrained zonotope."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -117,29 +142,25 @@ def affine_map(R, Z: ConZono, s=None) -> ConZono:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if s.shape[0] != R.n_rows:
             raise ValueError(f"offset of length {s.shape[0]} does not match map with {R.n_rows} rows")
-    return ConZono(multiply(R, Z.G), R.matvec(Z.c) + s, Z.A, Z.b)
+    G, c = multiply(R, Z.G), R.matvec(Z.c) + s
+    _check_finite("G", G._m.data)
+    _check_finite("c", c)
+    return ConZono._of_checked(G, c, Z.A, Z.b)
 
 
 def minkowski_sum(Z1: ConZono, Z2: ConZono) -> ConZono:
     """Z1 + Z2 = <[G1 G2], c1 + c2, blkdiag(A1, A2), [b1; b2]>."""
     if Z1.dim != Z2.dim:
         raise ValueError(f"cannot sum sets of dimensions {Z1.dim} and {Z2.dim}")
-    return ConZono(
-        hcat(Z1.G, Z2.G),
-        Z1.c + Z2.c,
-        blkdiag(Z1.A, Z2.A),
-        np.concatenate([Z1.b, Z2.b]),
-    )
+    c = Z1.c + Z2.c
+    _check_finite("c", c)
+    return ConZono._of_checked(hcat(Z1.G, Z2.G), c, blkdiag(Z1.A, Z2.A), np.concatenate([Z1.b, Z2.b]))
 
 
 def cartesian_product(Z1: ConZono, Z2: ConZono) -> ConZono:
     """Z1 x Z2 with block-diagonal generators and constraints."""
-    return ConZono(
-        blkdiag(Z1.G, Z2.G),
-        np.concatenate([Z1.c, Z2.c]),
-        blkdiag(Z1.A, Z2.A),
-        np.concatenate([Z1.b, Z2.b]),
-    )
+    return ConZono._of_checked(blkdiag(Z1.G, Z2.G), np.concatenate([Z1.c, Z2.c]),
+                               blkdiag(Z1.A, Z2.A), np.concatenate([Z1.b, Z2.b]))
 
 
 def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
@@ -160,7 +181,11 @@ def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
     G = Z1.G if Z2.n_g == 0 else _place([(0, 0, Z1.G)], (Z1.dim, n_g))
     A = _place([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A), (n_c, 0, RG1)], (n_c + n_rows, n_g),
                negated=[(n_c, Z1.n_g, Z2.G)])
-    return ConZono(G, Z1.c, A, np.concatenate([Z1.b, Z2.b, Z2.c - Rc1]))
+    rhs = Z2.c - Rc1
+    if R is not None:
+        _check_finite("A", RG1.data)
+    _check_finite("b", rhs)
+    return ConZono._of_checked(G, Z1.c, A, np.concatenate([Z1.b, Z2.b, rhs]))
 
 
 def intersection(Z1: ConZono, Z2: ConZono) -> ConZono:

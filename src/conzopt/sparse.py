@@ -13,9 +13,10 @@ scipy matrices (``SparseMat._m``, never mutated) and wraps only the
 result, so each matrix it returns is built once.
 
 Every matrix the package assembles from pieces, in this module or any
-other, is written by ``_place`` from non-overlapping blocks, so no
-other module handles (row, col, value) triplets; ``from_triplets`` only
-validates such data from outside. The arrays ``_place`` writes, and
+other, is written by ``_place`` from non-overlapping blocks (or by
+``_place_csc``, its array half, for an operand no SparseMat keeps), so
+no other module handles (row, col, value) triplets; ``from_triplets``
+only validates such data from outside. The arrays ``_place`` writes, and
 those of ``zeros``, ``eye``, a dense input and the factor L, reach the
 constructor as a ``_Csc``, which it takes without a copy or scipy's
 validating constructor.
@@ -27,7 +28,11 @@ the two patterns agree, so a factorization builds no matrix besides L.
 The factorization is split in two: a symbolic pass, cached per sparsity
 pattern, walks the elimination tree once and records L's column pointers
 and, for every row, the columns it eliminates in order; the numeric pass
-replays that schedule and does only the arithmetic.
+replays that schedule and does only the arithmetic. It walks the schedule
+as Python ints and keeps each pivot and multiplier a Python float (the
+same IEEE arithmetic as a numpy scalar, without its per-operation cost);
+a row is scattered by one assignment and each column update is one numpy
+expression on L's arrays.
 """
 
 from __future__ import annotations
@@ -216,6 +221,11 @@ def _place(blocks, shape, negated=(), transposed=()):
     the column merges each column's entries in block-row order, so the arrays come out
     canonical. A block outside the shape, or blocks whose entries collide or interleave in
     a column, raise ValueError."""
+    return SparseMat(_place_csc(blocks, shape, negated, transposed))
+
+
+def _place_csc(blocks, shape, negated=(), transposed=()):
+    """``_place``'s canonical CSC arrays as a ``_Csc``, for an operand that no SparseMat keeps."""
     placed = []
     for sign, flip, group in ((1.0, False, blocks), (-1.0, False, negated), (1.0, True, transposed)):
         for r, c, m in group:
@@ -230,7 +240,8 @@ def _place(blocks, shape, negated=(), transposed=()):
             if len(m.indices):
                 placed.append((r, c, m, sign, flip))
     if not placed:
-        return SparseMat.zeros(*shape)
+        idx = _index_dtype(*shape)
+        return _Csc(np.zeros(0), np.zeros(0, dtype=idx), np.zeros(shape[1] + 1, dtype=idx), shape)
     r, c, mats, signs, flips = zip(*sorted(placed, key=operator.itemgetter(0)))
     nnz, slots = np.array([len(m.indices) for m in mats]), np.array([len(m.indptr) for m in mats])
     # the indptrs end to end, each shifted by the entries before it: a block's last
@@ -250,7 +261,7 @@ def _place(blocks, shape, negated=(), transposed=()):
     csc = _Csc(data, row[order].astype(idx), indptr, shape)
     if not _csc(*csc).has_canonical_format:
         raise ValueError("blocks overlap: entries of one column collide or fall out of row order")
-    return SparseMat(csc)
+    return csc
 
 
 def _shift_diagonal(m, shift):
@@ -471,10 +482,13 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
     which this pivot sequence always exists. The pattern of M's upper
     triangle fetches ``_symbolic``'s schedule (computed once per pattern),
     and row k of L is eliminated column by column in that order, with no
-    walk of the elimination tree here. Elimination fills the symbolic
-    pattern of L; entries that cancel to exactly zero are pruned from the
-    returned L like any SparseMat, so L.nnz counts numerical nonzeros and
-    is deterministic.
+    walk of the elimination tree here. The schedule and the row pointers
+    are read as Python lists and each pivot and multiplier is a Python
+    float, the same IEEE arithmetic as on numpy scalars; each column
+    update stays one numpy expression on L's arrays. Elimination fills
+    the symbolic pattern of L; entries that cancel to exactly zero are
+    pruned from the returned L like any SparseMat, so L.nnz counts
+    numerical nonzeros and is deterministic.
 
     Raises RankDeficiencyError when a pivot magnitude falls to
     1e-12 * max|m| or below, which signals that the coupling rows are
@@ -503,35 +517,37 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
     Li = np.empty(Lp[-1], dtype=np.int64)
     Li[Lp[:-1]] = np.arange(n)
     Lx = np.ones(Lp[-1])
-    D = np.zeros(n, dtype=float)
+    D = []
     y = np.zeros(n, dtype=float)
     lnz = np.zeros(n, dtype=np.int64)
 
+    cols, row_ptr, Ap = schedule.tolist(), row_ptr.tolist(), Ap.tolist()
     for k in range(n):
-        for p in range(Ap[k], Ap[k + 1]):
-            y[Ai[p]] += Ax[p]
-        D[k] = y[k]
+        # y is all zero here and M is canonical, so one assignment scatters row k
+        a, b = Ap[k], Ap[k + 1]
+        y[Ai[a:b]] = Ax[a:b]
+        dk = y.item(k)
         y[k] = 0.0
-        for i in schedule[row_ptr[k]:row_ptr[k + 1]].tolist():
-            yi = y[i]
+        for i in cols[row_ptr[k]:row_ptr[k + 1]]:
+            yi = y.item(i)
             y[i] = 0.0
             p0 = Lp[i] + 1
             p1 = p0 + lnz[i]
             if p1 > p0:
-                idx = Li[p0:p1]
-                y[idx] -= Lx[p0:p1] * yi
+                y[Li[p0:p1]] -= Lx[p0:p1] * yi
             l_ki = yi / D[i]
-            D[k] -= l_ki * yi
+            dk -= l_ki * yi
             Li[p1] = k
             Lx[p1] = l_ki
             lnz[i] += 1
-        if abs(D[k]) <= threshold:
-            raise RankDeficiencyError(k, D[k])
+        if abs(dk) <= threshold:
+            raise RankDeficiencyError(k, dk)
+        D.append(dk)
 
     # scipy's index dtype (int64 above keeps the loop's fancy indexing fast); astype
     # copies, so the symbolic cache keeps its own Lp
     idx = _index_dtype(n, Lp[-1])
-    return LdltFactor(SparseMat(_Csc(Lx, Li.astype(idx), Lp.astype(idx), (n, n))), D)
+    return LdltFactor(SparseMat(_Csc(Lx, Li.astype(idx), Lp.astype(idx), (n, n))), np.array(D, dtype=float))
 
 
 def ldlt_solve(factor: LdltFactor, rhs):

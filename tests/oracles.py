@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own solver paths:
 supports and feasibility go through scipy's LP solver, factorizations
-are recomputed densely, and the box-constrained QPs are solved by
-exhaustive enumeration of active-face patterns.
+are recomputed densely (or, for the bits of L and D, by the earlier
+scalar-at-a-time numeric pass), and the box-constrained QPs are solved
+by exhaustive enumeration of active-face patterns.
 """
 
 import itertools
@@ -27,6 +28,62 @@ def dense_ldlt(M):
         work[k + 1:, k + 1:] -= np.outer(L[k + 1:, k], work[k, k + 1:])
         work[k + 1:, k] = 0.0
     return L, D
+
+
+def ldlt_scalar_loop(m):
+    """L and D of ``conzopt.sparse.ldlt_factorize`` by its earlier numeric pass, which
+    reads and writes numpy arrays one scalar at a time; a reference for the bits of L and
+    D. Takes a symmetric SparseMat and raises RankDeficiencyError on the same pivot."""
+    from conzopt.sparse import (
+        _PIVOT_REL_TOL, LdltFactor, RankDeficiencyError, SparseMat, _Csc, _index_dtype, _symbolic,
+    )
+
+    n = m.n_rows
+    # the upper triangle: in each sorted column of M, the rows up to the diagonal
+    Mp, Mi = m._m.indptr, m._m.indices
+    col = np.repeat(np.arange(n), np.diff(Mp))
+    upper = Mi <= col
+    Ap = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col[upper], minlength=n), out=Ap[1:])
+    Ai = Mi[upper].astype(np.int64, copy=False)
+    Ax = m._m.data[upper]
+
+    threshold = _PIVOT_REL_TOL * (m.max_abs() if m.nnz else 1.0)
+    Lp, schedule, row_ptr = _symbolic(n, Ap, Ai)
+
+    # L's arrays: each column's unit diagonal first, above the slots elimination fills
+    Li = np.empty(Lp[-1], dtype=np.int64)
+    Li[Lp[:-1]] = np.arange(n)
+    Lx = np.ones(Lp[-1])
+    D = np.zeros(n, dtype=float)
+    y = np.zeros(n, dtype=float)
+    lnz = np.zeros(n, dtype=np.int64)
+
+    for k in range(n):
+        for p in range(Ap[k], Ap[k + 1]):
+            y[Ai[p]] += Ax[p]
+        D[k] = y[k]
+        y[k] = 0.0
+        for i in schedule[row_ptr[k]:row_ptr[k + 1]].tolist():
+            yi = y[i]
+            y[i] = 0.0
+            p0 = Lp[i] + 1
+            p1 = p0 + lnz[i]
+            if p1 > p0:
+                idx = Li[p0:p1]
+                y[idx] -= Lx[p0:p1] * yi
+            l_ki = yi / D[i]
+            D[k] -= l_ki * yi
+            Li[p1] = k
+            Lx[p1] = l_ki
+            lnz[i] += 1
+        if abs(D[k]) <= threshold:
+            raise RankDeficiencyError(k, D[k])
+
+    # scipy's index dtype (int64 above keeps the loop's fancy indexing fast); astype
+    # copies, so the symbolic cache keeps its own Lp
+    idx = _index_dtype(n, Lp[-1])
+    return LdltFactor(SparseMat(_Csc(Lx, Li.astype(idx), Lp.astype(idx), (n, n))), D)
 
 
 def lp_support(Z, d):

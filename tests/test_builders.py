@@ -78,6 +78,13 @@ def test_trajectory_index_layout():
     assert idx.total_dim == 5
 
 
+def test_one_trajectory_index_per_layout():
+    # the index is a frozen function of (n_x, n_u, N): builds of one layout share it
+    idx = build_mpc(_small_mpc_spec(N=3))[3]
+    assert build_mpc(_small_mpc_spec(N=3, x0=(-0.5, 0.25)))[3] is idx
+    assert build_mpc(_small_mpc_spec(N=2))[3] is not idx
+
+
 def test_extract_stack_roundtrip(rng):
     idx = TrajectoryIndex(x_offsets=(0, 3, 6), u_offsets=(2, 5), n_x=2, n_u=1,
                           total_dim=8)

@@ -6,6 +6,7 @@ import pytest
 from conzopt import (
     ConZono,
     IntervalBox,
+    LinearSystem,
     SparseMat,
     affine_map,
     cartesian_product,
@@ -16,6 +17,8 @@ from conzopt import (
     point_set,
     rotation_matrix,
     rotation_uncertainty_zono,
+    svse_step_sparse,
+    unroll,
     zonotope_support,
 )
 from oracles import lp_contains, lp_is_empty, random_zonotope
@@ -45,11 +48,15 @@ def test_conzono_rejects_non_finite_entries(name, bad):
 
 
 _HUGE = ConZono(SparseMat.eye(1), [1e308])
+_HUGE_SYSTEM = LinearSystem(SparseMat.eye(1), SparseMat.eye(1), _HUGE, _HUGE, C=SparseMat.eye(1))
 
-_OVERFLOWS = {   # each result's center or rhs overflows to an infinity
+_OVERFLOWS = {   # each result's center or rhs overflows to an infinity (svse_step_sparse's at y - V.c)
     "minkowski_sum": ("c", lambda: minkowski_sum(_HUGE, _HUGE)),
     "generalized_intersection": ("b", lambda: generalized_intersection(_HUGE, ConZono(SparseMat.eye(1), [-1e308]))),
     "affine_map": ("c", lambda: affine_map(SparseMat.eye(1), _HUGE, [1e308])),
+    "unroll": ("b", lambda: unroll(_HUGE, SparseMat.eye(1), SparseMat.eye(1), [(_HUGE, _HUGE, [-1e308])])),
+    "svse_step_sparse": ("b", lambda: svse_step_sparse(_HUGE, _HUGE_SYSTEM, _HUGE, ConZono(SparseMat.eye(1), [-1e308]),
+                                                       [0.0], [1e308])),
 }
 
 

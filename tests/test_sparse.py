@@ -32,7 +32,7 @@ from conzopt import (
 )
 from conzopt.scenarios import corridor_mpc_scenario, mhe_scenario, safety_scenario
 from conzopt.sparse import _count, _place, _shift_diagonal, _symbolic, _symbolic_cache
-from oracles import dense_ldlt
+from oracles import dense_ldlt, ldlt_scalar_loop
 
 
 def test_count_is_the_one_rule_for_counts():
@@ -730,6 +730,41 @@ def test_ldlt_cached_schedule_reproduces_cold_factor(name):
     assert (cold == 3) if name == "dependent-rows" else isinstance(cold, list)
     # int32 columns: Python ints would cost several MB of the cache's memory
     assert schedule.dtype == np.int32 and len(schedule) == Lp[-1] - M.n_rows == row_ptr[-1]
+
+
+def _outcome(factorize, M):
+    """L's arrays and D as bytes, or the index and the bits of the pivot that stopped factorize."""
+    try:
+        f = factorize(M)
+    except RankDeficiencyError as err:
+        return err.pivot_index, np.float64(err.pivot_value).tobytes()
+    L = f.L._m
+    return [(a.dtype.str, a.tobytes()) for a in (L.indptr, L.indices, L.data, f.D)]
+
+
+@pytest.mark.parametrize("name", sorted(_SADDLES) + ["dependent-rows"])
+def test_ldlt_matches_scalar_loop_on_saddles(name):
+    # the digests above skip where a platform assembles other saddle bits; this
+    # comparison with the earlier scalar-at-a-time loop runs everywhere
+    M = _SADDLES[name]() if name in _SADDLES else _dependent_rows_saddle()
+    outcome = _outcome(ldlt_factorize, M)
+    assert outcome == _outcome(ldlt_scalar_loop, M)
+    assert outcome[0] == 3 if name == "dependent-rows" else isinstance(outcome, list)
+
+
+@given(st.integers(1, 10), st.data(), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_ldlt_matches_scalar_loop_on_random_saddles(n_pos, data, density, seed):
+    # [[H, A^T], [A, 0]] with H symmetric and diagonally dominant and a sparse random A;
+    # rows of A that are dependent (an empty row, or n_con > n_pos) stop both at one pivot
+    n_con = data.draw(st.integers(0, n_pos + 1))
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(n_pos, n_pos)) * (rng.random((n_pos, n_pos)) < density)
+    H = S + S.T
+    np.fill_diagonal(H, np.abs(H).sum(axis=1) + rng.random(n_pos) + 0.5)
+    A = rng.normal(size=(n_con, n_pos)) * (rng.random((n_con, n_pos)) < density)
+    M = SparseMat(np.block([[H, A.T], [A, np.zeros((n_con, n_con))]]))
+    assert _outcome(ldlt_factorize, M) == _outcome(ldlt_scalar_loop, M)
 
 
 def test_symbolic_schedule_by_hand():
