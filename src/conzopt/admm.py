@@ -18,13 +18,24 @@ over the box. The test compares floating-point values as computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .intervals import IntervalBox
 from .sets import ConZono, generalized_intersection, point_set
-from .sparse import SparseMat, _count, _place, _shift_diagonal, ldlt_factorize, ldlt_solve
+from .sparse import (
+    SparseMat,
+    _count,
+    _diagonal,
+    _matmul,
+    _place,
+    _shift_diagonal,
+    _transpose,
+    ldlt_factorize,
+    ldlt_solve,
+)
 
 
 class EmptySetError(RuntimeError):
@@ -90,17 +101,16 @@ class ReducedQp:
 
     Holds P~ = G^T P G, q~ = G^T (P c + q) and the saddle matrix
     M = [[P~ + rho I, A^T], [A, 0]] with its factorization, which both the
-    iterations and the certificate projection solve with. Raises
-    RankDeficiencyError when A is not full row rank. Immutable and
-    shareable across solves.
+    iterations and the certificate projection solve with; ``h`` is the CSC
+    arrays of M's leading block P~ + rho I. Raises RankDeficiencyError when
+    A is not full row rank. Immutable and shareable across solves.
     """
 
     __slots__ = ("Z", "rho", "p_tilde", "q_tilde", "M", "factor_m")
 
-    def __init__(self, Z, rho, p_tilde, q_tilde):
+    def __init__(self, Z, rho, p_tilde, q_tilde, h):
         n_g, n_c = Z.n_g, Z.n_c
-        M = _place([(0, 0, _shift_diagonal(p_tilde, float(rho))), (n_g, 0, Z.A)], (n_g + n_c,) * 2,
-                   transposed=[(0, n_g, Z.A)])
+        M = _place([(0, 0, h), (n_g, 0, Z.A)], (n_g + n_c,) * 2, transposed=[(0, n_g, Z.A)])
         factor_m = ldlt_factorize(M)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "rho", float(rho))
@@ -126,12 +136,9 @@ def reduce_qp(problem: QpProblem, settings: AdmmSettings = AdmmSettings()) -> Re
     Z = problem.Z
     # P G canonical (sorted indices, no explicit zeros) fixes the order
     # in which G^T (P G) sums each entry
-    PG = problem.P._m @ Z.G._m
-    PG.sum_duplicates()
-    PG.eliminate_zeros()
-    p_tilde = SparseMat(Z.G._m.T @ PG)
+    p_tilde = SparseMat(_matmul(_transpose(Z.G._m), _matmul(problem.P._m, Z.G._m)))
     q_tilde = Z.G.rmatvec(problem.P.matvec(Z.c) + problem.q)
-    return ReducedQp(Z, settings.rho, p_tilde, q_tilde)
+    return ReducedQp(Z, settings.rho, p_tilde, q_tilde, _shift_diagonal(p_tilde, float(settings.rho)))
 
 
 def reduce_feasibility(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> ReducedQp:
@@ -141,7 +148,8 @@ def reduce_feasibility(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> R
     objective guarantees the iterate difference converges onto a
     certificate whenever the set is empty.
     """
-    return ReducedQp(Z, settings.rho, SparseMat.eye(Z.n_g), np.zeros(Z.n_g))
+    return ReducedQp(Z, settings.rho, SparseMat.eye(Z.n_g), np.zeros(Z.n_g),
+                     _diagonal(Z.n_g, 1.0 + float(settings.rho)))
 
 
 @dataclass
@@ -173,7 +181,7 @@ def _residual_norms(rp, rd, norm):
 def _thresholds(n_g, settings):
     if settings.norm == "inf":
         return settings.eps_primal, settings.eps_dual
-    scale = np.sqrt(max(n_g, 1))
+    scale = math.sqrt(max(n_g, 1))
     return scale * settings.eps_primal, scale * settings.eps_dual
 
 
@@ -192,15 +200,14 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     if q_cols.shape[0] != n_g:
         raise ValueError(f"linear cost of length {q_cols.shape[0]} does not match {n_g} factors")
     m = q_cols.shape[1]
-    rho = reduced.rho
+    rho, norm, k_inf = reduced.rho, settings.norm, settings.k_inf if n_c > 0 else 0
 
     if warm is None:
-        xi = np.zeros((n_g, m))
-        zeta = np.zeros((n_g, m))
-        u = np.zeros((n_g, m))
+        xi = zeta = u = np.zeros((n_g, m))  # each iteration replaces them; none is written in place
     else:
         xi, zeta, u = (np.array(np.broadcast_to(w.reshape(n_g, -1), (n_g, m))) for w in warm)
 
+    neg_q = -q_cols
     rhs = np.empty((n_g + n_c, m))
     rhs[n_g:] = reduced.Z.b[:, None]
     eps_p, eps_d = _thresholds(n_g, settings)
@@ -224,30 +231,33 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
         )
 
     for k in range(settings.max_iter):
-        rhs[:n_g] = -q_cols + rho * (zeta - u)
+        np.add(neg_q, rho * (zeta - u), out=rhs[:n_g])
         xi = ldlt_solve(reduced.factor_m, rhs)[:n_g]
         zeta_prev = zeta
-        zeta = np.clip(xi + u, -1.0, 1.0)
+        zeta = np.minimum(np.maximum(xi + u, -1.0), 1.0)    # the clip to the unit box
         u = u + xi - zeta
 
-        infeasible = np.zeros(len(cols), dtype=bool)
-        if n_c > 0 and k % settings.k_inf == 0:
+        if k_inf and k % k_inf == 0:
             v, infeasible = _separation(reduced, xi, zeta)
+        else:
+            infeasible = np.zeros(len(cols), dtype=bool)
 
         if k == len(history):
             history = np.concatenate([history, np.empty((k + 1, 2, len(cols)))])
-        history[k] = _residual_norms(xi - zeta, rho * (zeta - zeta_prev), settings.norm)
-        converged = (history[k, 0] < eps_p) & (history[k, 1] < eps_d) & ~infeasible
-        for i in np.nonzero(infeasible)[0]:
+        history[k] = _residual_norms(xi - zeta, rho * (zeta - zeta_prev), norm)
+        converged = (history[k, 0] < eps_p) & (history[k, 1] < eps_d)
+        done = converged | infeasible
+        if not done.any():
+            continue
+        for i in infeasible.nonzero()[0]:
             leave(i, "infeasible", v[:, i].copy())
-        for i in np.nonzero(converged)[0]:
+        for i in (converged & ~infeasible).nonzero()[0]:
             leave(i, "converged")
-        keep = ~(infeasible | converged)
-        if not np.all(keep):
-            cols, q_cols, rhs = cols[keep], q_cols[:, keep], rhs[:, keep]
-            xi, zeta, u, history = xi[:, keep], zeta[:, keep], u[:, keep], history[:, :, keep]
-        if cols.size == 0:
+        if done.all():
             break
+        keep = ~done
+        cols, neg_q, rhs = cols[keep], neg_q[:, keep], rhs[:, keep]
+        xi, zeta, u, history = xi[:, keep], zeta[:, keep], u[:, keep], history[:, :, keep]
     else:
         for i in range(len(cols)):
             leave(i, "iteration-limit")
@@ -280,10 +290,11 @@ def _separation(reduced: ReducedQp, xi, zeta):
     rows) lies strictly outside [-||v||_1, ||v||_1], the range of v over
     the unit box.
     """
-    rhs = np.vstack([zeta - xi, np.zeros((reduced.n_c, xi.shape[1]))])
+    rhs = np.zeros((reduced.n_g + reduced.n_c, xi.shape[1]))
+    np.subtract(zeta, xi, out=rhs[:reduced.n_g])
     v = reduced.Z.A.rmatvec(ldlt_solve(reduced.factor_m, rhs)[reduced.n_g:])
     vals = np.einsum("ij,ij->j", v, xi)
-    radius = np.sum(np.abs(v), axis=0)
+    radius = np.abs(v).sum(axis=0)
     return v, (vals < -radius) | (vals > radius)
 
 
@@ -380,7 +391,8 @@ def support(Z: ConZono, d, settings: AdmmSettings = AdmmSettings()) -> float:
 
 def reduce_support(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> ReducedQp:
     """Zero-cost reduced problem reusable for many support directions."""
-    return ReducedQp(Z, settings.rho, SparseMat.zeros(Z.n_g, Z.n_g), np.zeros(Z.n_g))
+    return ReducedQp(Z, settings.rho, SparseMat.zeros(Z.n_g, Z.n_g), np.zeros(Z.n_g),
+                     _diagonal(Z.n_g, float(settings.rho)))
 
 
 def support_batch(Z: ConZono, directions, settings: AdmmSettings = AdmmSettings()):

@@ -19,7 +19,7 @@ from .intervals import IntervalBox
 from .reach import LinearSystem, _fused_domains, _last_block, unroll
 from .sets import ConZono, generalized_intersection, interval_to_zono, point_set
 from .sets import cartesian_product  # noqa: F401  (perfbench/tests patch it under this name)
-from .sparse import SparseMat, _count, blkdiag
+from .sparse import SparseMat, _count, _csc, _matmul, _transpose, blkdiag, multiply
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,8 @@ def build_mhe(spec: MheSpec):
     of the fused domains, C^T R^-1 and C^T R^-1 C are built once per call.
     """
     sys, n_x, C = spec.sys, spec.sys.n_x, spec.sys.C
-    ct_rinv = SparseMat(C._m.T @ spec.R_inv._m)
-    ct_rinv_c = SparseMat(ct_rinv._m @ C._m)
+    ct_rinv = SparseMat(_matmul(_transpose(C._m), spec.R_inv._m))
+    ct_rinv_c = multiply(ct_rinv, C)
     steps, q_parts = [], [-spec.prior_info.matvec(spec.prior_estimate)]
     for u, y, D in zip(spec.inputs, spec.measurements, _fused_domains(sys, spec.V, spec.measurements)):
         steps.append((spec.W, D, -sys.B.matvec(np.asarray(u, dtype=float))))
@@ -236,7 +236,7 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
     if len(x_refs) < N:
         raise ValueError(f"need {N} references, got {len(x_refs)}")
     K = K if isinstance(K, SparseMat) else SparseMat(K)
-    a_closed, noise_map = SparseMat(sys.A._m - sys.B._m @ K._m), SparseMat.eye(sys.n_x)
+    a_closed, noise_map = SparseMat(sys.A._m - _csc(*_matmul(sys.B._m, K._m))), SparseMat.eye(sys.n_x)
 
     results = []
     X = X0

@@ -42,16 +42,21 @@ EXIT_USAGE = 64
 
 @dataclass
 class BenchRecord:
-    """One row of the benchmark table."""
+    """One row of the benchmark table.
+
+    A size the command does not measure is None: null in the JSON
+    document and an empty cell in the CSV file, never a 0 that would
+    read as an empty problem.
+    """
 
     scenario: str
     method: str
     N: int
-    n_g: int
-    n_c: int
-    nnz_g: int
-    nnz_a: int
-    nnz_m: int
+    n_g: int | None
+    n_c: int | None
+    nnz_g: int | None
+    nnz_a: int | None
+    nnz_m: int | None
     iterations: int
     wall_ms: float
     status: str
@@ -161,7 +166,7 @@ def cmd_reach(args):
         records.append(BenchRecord(
             scenario="reach2nd", method=method, N=args.n,
             n_g=X_N.n_g, n_c=X_N.n_c, nnz_g=X_N.G.nnz, nnz_a=X_N.A.nnz,
-            nnz_m=0, iterations=0, wall_ms=wall, status="ok",
+            nnz_m=None, iterations=0, wall_ms=wall, status="ok",
         ))
         sets_json[method] = X_N.to_json_dict()
         pred = predict_complexity(method, args.n, dims)
@@ -225,10 +230,11 @@ def cmd_mhe(args):
     result = run_mhe_simulation(seed=args.seed, steps=args.n, settings=settings,
                                 zero_noise=args.zero_noise)
     wall = (time.perf_counter() - t0) * 1e3
+    # the largest window set: each size is its maximum over the run's sets
     record = BenchRecord(
         scenario="mhe-sim", method="sparse", N=args.n,
         n_g=max(s.n_g for s in result.sets), n_c=max(s.n_c for s in result.sets),
-        nnz_g=0, nnz_a=0, nnz_m=0,
+        nnz_g=max(s.G.nnz for s in result.sets), nnz_a=max(s.A.nnz for s in result.sets), nnz_m=None,
         iterations=int(np.sum(result.iterations)), wall_ms=wall,
         status="ok" if all(s == "converged" for s in result.statuses) else "not-converged",
     )
@@ -268,7 +274,7 @@ def cmd_verify(args):
             histogram[s.iterations] = histogram.get(s.iterations, 0) + 1
     record = BenchRecord(
         scenario="safety", method="sparse", N=args.n,
-        n_g=0, n_c=0, nnz_g=0, nnz_a=0, nnz_m=0,
+        n_g=None, n_c=None, nnz_g=None, nnz_a=None, nnz_m=None,
         iterations=int(np.sum([s.iterations for s in steps])), wall_ms=wall,
         status="certified" if all(s.certified for s in steps) else "not-certified",
     )

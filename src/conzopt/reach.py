@@ -31,7 +31,18 @@ from .sets import (
     generalized_intersection,
     minkowski_sum,
 )
-from .sparse import SparseMat, _column_ranges, _count, _csc, _place, _place_csc, blkdiag, hcat, vcat
+from .sparse import (
+    SparseMat,
+    _column_ranges,
+    _count,
+    _last_rows,
+    _matmul,
+    _place,
+    _place_csc,
+    blkdiag,
+    hcat,
+    vcat,
+)
 
 
 @dataclass(frozen=True)
@@ -102,13 +113,13 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     A_blocks, neg_blocks, pin_at, fm_G = [(0, 0, Z0.A)], [], [], {}  # (row, col, block)s; F_m M.G by id
     pin_c = []                                    # per step (t, x_c, c_M, c_S) for the pin rhs
     n_rows, n_cols = Z0.n_c, Z0.n_g
-    x_G, x_c, x_col = Z0.G._m[Z0.dim - n_x:], Z0.c[Z0.dim - n_x:], 0
+    x_G, x_c, x_col = _last_rows(Z0.G._m, n_x), Z0.c[Z0.dim - n_x:], 0
     for M, S, t in steps:
         if (M.dim, S.dim, len(t)) != (F_m.shape[1], n_x, n_x):
             raise ValueError(f"step sets and target of dimensions {(M.dim, S.dim, len(t))} "
                              f"do not match {(F_m.shape[1], n_x, n_x)}")
         if id(M.G) not in fm_G:
-            fm_G[id(M.G)] = F_m._m @ M.G._m
+            fm_G[id(M.G)] = _matmul(F_m._m, M.G._m)
         s_col = n_cols + M.n_g
         pin_row = n_rows + M.n_c + S.n_c
         A_blocks += [(n_rows, n_cols, M.A), (n_rows + M.n_c, s_col, S.A),
@@ -120,14 +131,14 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
         parts += [M, S]
         n_rows = pin_row + n_x
         n_cols = s_col + S.n_g
-        x_G, x_c, x_col = S.G._m, S.c, s_col
+        x_G, x_c, x_col = S.G, S.c, s_col
 
     if pin_at:  # column range k of F_x [x_G_0 ... x_G_N-1] goes to step k's pin rows
         pin_rows, x_cols, x_Gs = zip(*pin_at)
         widths = [G.shape[1] for G in x_Gs]
-        x_G = x_Gs[0] if len(x_Gs) == 1 else _csc(*_place_csc(
-            [(0, c, G) for c, G in zip(accumulate(widths, initial=0), x_Gs)], (n_x, sum(widths))))
-        F_x_G = F_x._m @ x_G
+        x_G = x_Gs[0] if len(x_Gs) == 1 else _place_csc(
+            [(0, c, G) for c, G in zip(accumulate(widths, initial=0), x_Gs)], (n_x, sum(widths)))
+        F_x_G = _matmul(F_x._m, x_G)
         for FG in (*fm_G.values(), F_x_G):
             _check_finite("A", FG.data)
         pin_b = _pin_rhs(F_x, F_m, pin_c)
@@ -154,7 +165,7 @@ def _pin_rhs(F_x, F_m, pin_c):
 
 def _last_block(Z: ConZono, n) -> ConZono:
     """Projection of Z onto its last n coordinates."""
-    return ConZono._of_checked(SparseMat(Z.G._m[Z.dim - n:]), Z.c[Z.dim - n:].copy(), Z.A, Z.b)
+    return ConZono._of_checked(SparseMat(_last_rows(Z.G._m, n)), Z.c[Z.dim - n:].copy(), Z.A, Z.b)
 
 
 def reach_standard(X0: ConZono, sys: LinearSystem, N):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .intervals import Interval, IntervalBox
-from .sparse import SparseMat, _count, _place, blkdiag, hcat, multiply
+from .sparse import SparseMat, _count, _matmul, _place, blkdiag, hcat, multiply
 
 
 class ConZono:
@@ -174,7 +174,7 @@ def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
         R = R if isinstance(R, SparseMat) else SparseMat(R)
         if R.n_cols != Z1.dim:
             raise ValueError(f"map with {R.n_cols} columns cannot act on a set of dimension {Z1.dim}")
-        RG1, Rc1, n_rows = R._m @ Z1.G._m, R.matvec(Z1.c), R.n_rows
+        RG1, Rc1, n_rows = _matmul(R._m, Z1.G._m), R.matvec(Z1.c), R.n_rows
     if n_rows != Z2.dim:
         raise ValueError(f"map with {n_rows} rows does not land in a set of dimension {Z2.dim}")
     n_g, n_c = Z1.n_g + Z2.n_g, Z1.n_c + Z2.n_c

@@ -16,10 +16,23 @@ Every matrix the package assembles from pieces, in this module or any
 other, is written by ``_place`` from non-overlapping blocks (or by
 ``_place_csc``, its array half, for an operand no SparseMat keeps), so
 no other module handles (row, col, value) triplets; ``from_triplets``
-only validates such data from outside. The arrays ``_place`` writes, and
-those of ``zeros``, ``eye``, a dense input and the factor L, reach the
-constructor as a ``_Csc``, which it takes without a copy or scipy's
-validating constructor.
+only validates such data from outside. When no two blocks with entries
+share a column (``hcat``, ``blkdiag``, the G of ``generalized_intersection``
+and ``reach.unroll``, the cost P of ``build_mpc`` and ``build_mhe``), the
+blocks' arrays are written end to end with no sort and no check; any other
+layout is merged per column by scipy's COO-to-CSR kernel and checked for
+overlap.
+
+Products, matrix-vector products and transposes call the compiled kernels
+of ``scipy.sparse._sparsetools`` that scipy's ``@`` and ``tocsr`` run, on
+the same arrays, so they return scipy's values and index dtypes without
+its Python wrappers: ``multiply`` and every product inside the package go
+through ``_matmul``, ``matvec`` and ``rmatvec`` through ``_matvec``, and
+``.T`` and ``is_symmetric`` through ``_transpose``; ``_last_rows`` slices
+a row range off the CSC arrays. The arrays ``_place`` and these kernels
+write, and those of ``zeros``, ``eye``, a dense input and the factor L,
+reach the constructor as a ``_Csc``, which it takes without a copy or
+scipy's validating constructor.
 
 ``ldlt_factorize`` reads the upper triangle off the sorted columns of M
 and writes L's unit diagonal into the factor's arrays, and
@@ -44,6 +57,18 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import (
+    coo_tocsr,
+    csc_matvec,
+    csc_matvecs,
+    csr_has_canonical_format,
+    csr_matmat,
+    csr_matmat_maxnnz,
+    csr_matvec,
+    csr_matvecs,
+    csr_sort_indices,
+    csr_tocsc,
+)
 from scipy.sparse.linalg import splu
 
 
@@ -108,8 +133,7 @@ class SparseMat:
     @classmethod
     def eye(cls, n, scale=1.0):
         (n,) = _shape((n,))
-        diag = np.arange(n + 1, dtype=_index_dtype(n))
-        return cls(_Csc(np.full(n, float(scale)), diag[:-1].copy(), diag, (n, n)))
+        return cls(_diagonal(n, float(scale)))
 
     @classmethod
     def from_triplets(cls, rows, cols, vals, shape):
@@ -155,7 +179,7 @@ class SparseMat:
 
     @property
     def T(self):
-        return SparseMat(self._m.T)
+        return SparseMat(_transpose(self._m))
 
     def __neg__(self):
         return SparseMat(-self._m)
@@ -167,15 +191,14 @@ class SparseMat:
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.n_cols:
             raise ValueError(f"cannot multiply {self.shape} by vector of length {x.shape[0]}")
-        return self._m @ x
+        return _matvec(self._m, x, self.shape, csc_matvec, csc_matvecs)
 
     def rmatvec(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.n_rows:
             raise ValueError(f"cannot multiply transpose of {self.shape} by vector of length {x.shape[0]}")
         # A's CSC arrays are A^T's CSR arrays; entry j sums column j of A in stored order
-        m = self._m
-        return _csc(m.data, m.indices, m.indptr, m.shape[::-1], sp.csr_matrix) @ x
+        return _matvec(self._m, x, self.shape[::-1], csr_matvec, csr_matvecs)
 
     def max_abs(self):
         return float(np.max(np.abs(self._m.data))) if self.nnz else 0.0
@@ -189,7 +212,7 @@ class SparseMat:
         """
         if self.n_rows != self.n_cols:
             return False
-        m, t = self._m, self._m.tocsr()
+        m, t = self._m, _transpose(self._m)
         if np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices):
             gap = np.abs(m.data - t.data)
         else:
@@ -207,61 +230,196 @@ def multiply(a: SparseMat, b):
     result is returned.
     """
     if isinstance(b, SparseMat):
-        if a.n_cols != b.n_rows:
-            raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-        return SparseMat(a._m @ b._m)
+        return SparseMat(_matmul(a._m, b._m))
     return a.matvec(b)
+
+
+def _matmul(a, b):
+    """The product a b of two CSC matrices (scipy or ``_Csc``) as canonical CSC arrays, a ``_Csc``.
+
+    Runs the kernels scipy's ``@`` runs, on the same arrays: a b in CSC is b^T a^T in CSR,
+    whose operands' CSR arrays are b's and a's CSC arrays. Column j of the result adds a's
+    columns in the stored order of b's column j and drops entries that cancel to exactly
+    zero; the indices are then sorted in place. The index dtype is the one scipy gives.
+    Shapes that do not chain raise ValueError: the kernel would read out of bounds.
+    """
+    (M, K), N = a.shape, b.shape[1]
+    if b.shape[0] != K:
+        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
+    idx = _index_dtype(M, K, N, len(a.indices), len(b.indices))
+    ops = [x.astype(idx, copy=False) for x in (b.indptr, b.indices, a.indptr, a.indices)]
+    bound = csr_matmat_maxnnz(N, M, *ops)
+    if bound >= 2**31 and idx is np.int32:
+        idx = np.int64
+        ops = [x.astype(idx) for x in ops]
+    indptr, indices, data = np.empty(N + 1, dtype=idx), np.empty(bound, dtype=idx), np.empty(bound)
+    csr_matmat(N, M, ops[0], ops[1], b.data, ops[2], ops[3], a.data, indptr, indices, data)
+    nnz = int(indptr[-1])
+    if nnz < bound:                     # keep no slack: a set may hold the product for long
+        indices, data = indices[:nnz].copy(), data[:nnz].copy()
+    csr_sort_indices(N, indptr, indices, data)
+    out = _index_dtype(M, N, nnz)
+    return _Csc(data, indices.astype(out, copy=False), indptr.astype(out, copy=False), (M, N))
+
+
+def _transpose(m):
+    """m^T of a CSC matrix m (scipy or ``_Csc``) as CSC arrays, a ``_Csc``: the kernel of
+    scipy's ``tocsr``, so each column comes out sorted."""
+    n_rows, n_cols = m.shape
+    nnz = len(m.indices)
+    idx = _index_dtype(n_rows, n_cols, nnz)
+    indptr, indices, data = np.empty(n_rows + 1, dtype=idx), np.empty(nnz, dtype=idx), np.empty(nnz)
+    csr_tocsc(n_cols, n_rows, m.indptr.astype(idx, copy=False), m.indices.astype(idx, copy=False), m.data,
+              indptr, indices, data)
+    return _Csc(data, indices, indptr, (n_cols, n_rows))
+
+
+def _last_rows(m, n):
+    """The last n rows of a CSC matrix m (scipy or ``_Csc``) as CSC arrays, a ``_Csc``; each
+    column keeps its stored order."""
+    n_rows, n_cols = m.shape
+    keep = m.indices >= n_rows - n
+    indices = m.indices[keep] - (n_rows - n)
+    idx = _index_dtype(n, n_cols, len(indices))
+    kept = np.zeros(len(keep) + 1, dtype=idx)    # kept entries before each slot
+    np.cumsum(keep, out=kept[1:])
+    return _Csc(m.data[keep], indices.astype(idx, copy=False), kept[m.indptr], (n, n_cols))
+
+
+def _matvec(m, x, shape, kernel, kernels):
+    """The product of a matrix of the given shape, whose CSC or CSR arrays m holds, with a
+    vector or the columns of a 2-D x, through scipy's compiled ``kernel`` (one vector) or
+    ``kernels`` (several): a 1-D x and a single column go through ``kernel`` as in
+    scipy's ``@``."""
+    n_out, n_in = shape
+    if x.ndim == 2 and x.shape[1] != 1:
+        y = np.zeros((n_out, x.shape[1]))
+        kernels(n_out, n_in, x.shape[1], m.indptr, m.indices, m.data, x.ravel(), y.ravel())
+        return y
+    if x.ndim > 2:
+        raise ValueError(f"cannot multiply {shape} by an array of {x.ndim} dimensions")
+    y = np.zeros(n_out)
+    kernel(n_out, n_in, m.indptr, m.indices, m.data, x.ravel(), y)
+    return y if x.ndim == 1 else y.reshape(n_out, 1)
+
+
+_OVERLAP = "blocks overlap: entries of one column collide or fall out of row order"
 
 
 def _place(blocks, shape, negated=(), transposed=()):
     """Matrix of the given shape holding each (row, col, block) at that offset, each block
     of ``negated`` times -1 and each of ``transposed`` transposed. Blocks are SparseMat,
-    ``_column_ranges`` views or scipy matrices without duplicate entries; other formats are
-    converted to CSC, and unsorted indices (a product's) sorted in place. A stable sort on
-    the column merges each column's entries in block-row order, so the arrays come out
-    canonical. A block outside the shape, or blocks whose entries collide or interleave in
-    a column, raise ValueError."""
+    ``_Csc`` arrays with sorted columns (a product's, a ``_column_ranges`` view) or scipy
+    matrices; other formats are converted to CSC, unsorted indices sorted in place, and a
+    block holding an entry twice raises ValueError. When no two blocks with entries share a
+    column, ``_place_columns`` writes the arrays end to end; otherwise ``_place_rows`` merges
+    each column's entries in block-row order. A block outside the shape, or blocks whose
+    entries collide or interleave in a column, raise ValueError."""
     return SparseMat(_place_csc(blocks, shape, negated, transposed))
 
 
 def _place_csc(blocks, shape, negated=(), transposed=()):
     """``_place``'s canonical CSC arrays as a ``_Csc``, for an operand that no SparseMat keeps."""
-    placed = []
-    for sign, flip, group in ((1.0, False, blocks), (-1.0, False, negated), (1.0, True, transposed)):
-        for r, c, m in group:
-            if isinstance(m, SparseMat):
-                m = m._m
-            elif type(m) is not _Csc:             # a _Csc column range comes sorted
-                m = m if m.format == "csc" else m.tocsc()
-                m.sort_indices()                  # only where has_sorted_indices is false
-            h, w = m.shape[::-1] if flip else m.shape
-            if r < 0 or c < 0 or r + h > shape[0] or c + w > shape[1]:
-                raise ValueError(f"a block of shape {(h, w)} at ({r}, {c}) is out of range for shape {shape}")
-            if len(m.indices):
-                placed.append((r, c, m, sign, flip))
+    n_rows, n_cols = shape
+    placed = [(r, c, _block(m), 1.0) for r, c, m in blocks]
+    placed += [(r, c, _block(m), -1.0) for r, c, m in negated]
+    placed += [(r, c, _transpose(_block(m)), 1.0) for r, c, m in transposed]
+    for r, c, m, _ in placed:           # plain comparisons: offset arrays for numpy cost more
+        h, w = m.shape
+        if r < 0 or c < 0 or r + h > n_rows or c + w > n_cols:
+            raise ValueError(f"a block of shape {(h, w)} at ({r}, {c}) is out of range for shape {shape}")
+    placed = [p for p in placed if len(p[2].indices)]
     if not placed:
         idx = _index_dtype(*shape)
-        return _Csc(np.zeros(0), np.zeros(0, dtype=idx), np.zeros(shape[1] + 1, dtype=idx), shape)
-    r, c, mats, signs, flips = zip(*sorted(placed, key=operator.itemgetter(0)))
-    nnz, slots = np.array([len(m.indices) for m in mats]), np.array([len(m.indptr) for m in mats])
-    # the indptrs end to end, each shifted by the entries before it: a block's last
-    # slot equals the next block's first, so no entry falls between blocks
-    ptr = np.concatenate([m.indptr for m in mats]) + np.repeat(np.cumsum(nnz) - nnz, slots)
-    major = np.repeat(np.arange(len(ptr) - 1) - np.repeat(np.cumsum(slots) - slots, slots)[:-1], np.diff(ptr))
-    minor = np.concatenate([m.indices for m in mats])
-    if any(flips):                                   # a transposed block's columns are its rows
-        flip = np.repeat(flips, nnz)
-        major, minor = np.where(flip, minor, major), np.where(flip, major, minor)
-    row, col = np.repeat(np.array(r), nnz) + minor, np.repeat(np.array(c), nnz) + major
-    order = np.argsort(col, kind="stable")
-    idx = _index_dtype(*shape, len(col))
-    indptr = np.zeros(shape[1] + 1, dtype=idx)
-    np.cumsum(np.bincount(col, minlength=shape[1]), out=indptr[1:])
-    data = (np.concatenate([m.data for m in mats]) * np.repeat(signs, nnz))[order]
-    csc = _Csc(data, row[order].astype(idx), indptr, shape)
-    if not _csc(*csc).has_canonical_format:
-        raise ValueError("blocks overlap: entries of one column collide or fall out of row order")
-    return csc
+        return _Csc(np.zeros(0), np.zeros(0, dtype=idx), np.zeros(n_cols + 1, dtype=idx), shape)
+    by_col = sorted(placed, key=operator.itemgetter(1))
+    if all(c1 >= c0 + m0.shape[1] for (_, c0, m0, _), (_, c1, _, _) in zip(by_col, by_col[1:])):
+        return _place_columns(by_col, shape)
+    return _place_rows(sorted(placed, key=operator.itemgetter(0)), shape)
+
+
+def _block(m):
+    """A block's CSC arrays with sorted columns: a SparseMat's matrix, a ``_Csc`` as it is,
+    or a scipy matrix converted to CSC with its indices sorted in place; ValueError when
+    the block holds an entry twice."""
+    if isinstance(m, SparseMat):
+        return m._m
+    if type(m) is _Csc:
+        return m
+    m = m if m.format == "csc" else m.tocsc()
+    m.sort_indices()                        # only where has_sorted_indices is false
+    if not m.has_canonical_format:
+        raise ValueError(_OVERLAP)
+    return m
+
+
+def _rows_and_data(placed, nnz, idx):
+    """The blocks' row indices, shifted by their row offsets, and their signed data, each
+    end to end as one array; nnz lists the blocks' entry counts."""
+    rows = np.concatenate([m.indices for _, _, m, _ in placed]).astype(idx, copy=False)
+    data = np.concatenate([m.data for _, _, m, _ in placed])
+    if any(r for r, _, _, _ in placed):
+        rows += np.repeat(np.array([r for r, _, _, _ in placed], dtype=idx), nnz)
+    if any(s < 0 for _, _, _, s in placed):
+        data *= np.repeat(np.array([s for _, _, _, s in placed]), nnz)
+    return rows, data
+
+
+def _place_columns(placed, shape):
+    """Canonical CSC arrays of blocks with entries, sorted by column offset, no two of which
+    share a column: each column holds one block's sorted entries, so the arrays are the
+    blocks' written end to end, with no sort and no check. A column no block covers
+    repeats the pointer before it."""
+    nnz = [len(m.indices) for _, _, m, _ in placed]
+    total = sum(nnz)
+    idx = _index_dtype(*shape, total)
+    pieces, starts, end, before = [], [], 0, 0     # indptr pieces, the entries before each
+    for (_, c, m, _), k in zip(placed, nnz):
+        if c > end:
+            pieces.append(np.zeros(c - end, dtype=idx))
+            starts.append(before)
+        pieces.append(m.indptr[:-1])
+        starts.append(before)
+        end, before = c + m.shape[1], before + k
+    pieces.append(np.zeros(shape[1] - end + 1, dtype=idx))
+    starts.append(total)
+    indptr = np.concatenate(pieces).astype(idx, copy=False)
+    indptr += np.repeat(np.array(starts, dtype=idx), [len(p) for p in pieces])
+    rows, data = _rows_and_data(placed, nnz, idx)
+    return _Csc(data, rows, indptr, shape)
+
+
+def _place_rows(placed, shape):
+    """Canonical CSC arrays of blocks with entries, sorted by row offset: scipy's COO-to-CSR
+    kernel on the transpose is a stable counting sort on the column, so each column takes
+    its entries in block-row order. Entries that collide or fall out of row order raise
+    ValueError."""
+    n_rows, n_cols = shape
+    nnz = [len(m.indices) for _, _, m, _ in placed]
+    slots = [len(m.indptr) for _, _, m, _ in placed]
+    total = sum(nnz)
+    idx = _index_dtype(*shape, total)
+    # the indptrs end to end, each shifted by the entries before it, so a block's last slot
+    # equals the next block's first; slot s of the block whose first slot is f is column
+    # s - f + c of the result
+    firsts = accumulate(slots[:-1], initial=0)
+    shifts = np.repeat(np.array([list(accumulate(nnz[:-1], initial=0)),
+                                 [c - f for (_, c, _, _), f in zip(placed, firsts)]]), slots, axis=1)
+    ptr = np.concatenate([m.indptr for _, _, m, _ in placed]) + shifts[0]
+    slot_col = np.arange(len(ptr)) + shifts[1]
+    col = np.repeat(slot_col[:-1], ptr[1:] - ptr[:-1]).astype(idx, copy=False)
+    row, data = _rows_and_data(placed, nnz, idx)
+    indptr, indices, out = np.empty(n_cols + 1, dtype=idx), np.empty(total, dtype=idx), np.empty(total)
+    coo_tocsr(n_cols, n_rows, total, col, row, data, indptr, indices, out)
+    if not csr_has_canonical_format(n_cols, indptr, indices):
+        raise ValueError(_OVERLAP)
+    return _Csc(out, indices, indptr, shape)
+
+
+def _diagonal(n, value):
+    """CSC arrays of value I of order n, as a ``_Csc``."""
+    diag = np.arange(n + 1, dtype=_index_dtype(n))
+    return _Csc(np.full(n, value), diag[:-1].copy(), diag, (n, n))
 
 
 def _shift_diagonal(m, shift):
@@ -285,9 +443,8 @@ def _shift_diagonal(m, shift):
 
 
 def _column_ranges(m, widths):
-    """Consecutive column ranges of a scipy CSC matrix m, as ``_Csc`` views of m's arrays
-    (sorted in place first) for ``_place``."""
-    m.sort_indices()
+    """Consecutive column ranges of a CSC matrix m with sorted columns (a ``_matmul``
+    product), as ``_Csc`` views of m's arrays for ``_place``."""
     p = m.indptr
     bounds = list(accumulate(widths, initial=0))
     return [_Csc(m.data[p[a]:p[b]], m.indices[p[a]:p[b]], p[a:b + 1] - p[a], (m.shape[0], b - a))
@@ -297,7 +454,8 @@ def _column_ranges(m, widths):
 class _Csc(NamedTuple):
     """CSC arrays built for one new matrix, which takes them without a copy or a check:
     ``indptr`` runs from 0 to ``len(indices)``, every index lies inside ``shape``,
-    and no other object holds the arrays. Duplicates and zeros may remain. (A
+    and no other object holds the arrays. Duplicates and zeros may remain, except in a
+    block given to ``_place``, whose columns are sorted with no entry twice. (A
     ``_column_ranges`` view, read only by ``_place``, shares its matrix's arrays.)"""
 
     data: np.ndarray
@@ -306,17 +464,16 @@ class _Csc(NamedTuple):
     shape: tuple
 
 
-# what scipy's constructor sets on a CSC or CSR matrix besides its arrays and shape, read
-# off a checked one; its cached format flags are left out, so each matrix finds its own
-_ATTRS = {cls: {k: v for k, v in vars(cls((0, 0))).items()
-                if k not in ("data", "indices", "indptr", "_shape") and not k.startswith("_has_")}
-          for cls in (sp.csc_matrix, sp.csr_matrix)}
+# what scipy's constructor sets on a CSC matrix besides its arrays and shape, read off a
+# checked one; its cached format flags are left out, so each matrix finds its own
+_ATTRS = {k: v for k, v in vars(sp.csc_matrix((0, 0))).items()
+          if k not in ("data", "indices", "indptr", "_shape") and not k.startswith("_has_")}
 
 
-def _csc(data, indices, indptr, shape, cls=sp.csc_matrix):
-    """scipy CSC (or CSR) matrix on the given arrays, made without scipy's validating constructor."""
-    m = cls.__new__(cls)
-    vars(m).update(_ATTRS[cls], _shape=shape, data=data, indices=indices, indptr=indptr)
+def _csc(data, indices, indptr, shape):
+    """scipy CSC matrix on the given arrays, made without scipy's validating constructor."""
+    m = sp.csc_matrix.__new__(sp.csc_matrix)
+    vars(m).update(_ATTRS, _shape=shape, data=data, indices=indices, indptr=indptr)
     return m
 
 

@@ -143,6 +143,38 @@ def test_verify_default_certifies(tmp_path, capsys):
     assert (tmp_path / "verify_records.csv").exists()
 
 
+_SIZES = ("n_g", "n_c", "nnz_g", "nnz_a", "nnz_m")
+
+
+def _records_and_rows(tmp_path, capsys, name, *argv):
+    """A command's bench records, from its JSON document and from its CSV file."""
+    code, doc = run_cli(capsys, name, *argv, "--out", str(tmp_path), "--format", "both")
+    assert code == EXIT_OK
+    with (tmp_path / f"{name}_records.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(doc["records"]) == len(rows)
+    return doc, doc["records"], rows
+
+
+def test_records_leave_unmeasured_sizes_empty(tmp_path, capsys):
+    # a size the command does not measure is null in JSON and an empty CSV cell, not 0
+    _, (record,), (row,) = _records_and_rows(tmp_path, capsys, "verify", "--n", "3")
+    assert all(record[k] is None and row[k] == "" for k in _SIZES)
+    assert int(row["iterations"]) == record["iterations"] > 0
+
+    doc, (record,), (row,) = _records_and_rows(tmp_path, capsys, "mhe", "--n", "4", "--seed", "1")
+    assert record["nnz_m"] is None and row["nnz_m"] == ""
+    assert record["nnz_g"] == max(len(s["G"]) for s in doc["sets"]) > 0
+    assert record["nnz_a"] == max(len(s["A"]) for s in doc["sets"]) > 0
+    assert record["n_g"] == max(s["nG"] for s in doc["sets"])
+    assert [int(row[k]) for k in _SIZES[:4]] == [record[k] for k in _SIZES[:4]]
+
+    doc, records, rows = _records_and_rows(tmp_path, capsys, "reach", "--n", "2")
+    for record, row in zip(records, rows):
+        assert record["nnz_m"] is None and row["nnz_m"] == ""
+        assert int(row["nnz_a"]) == record["nnz_a"] == doc["counts"][record["method"]]["nnz_a"]
+
+
 def test_verify_obstacle_on_tube_fails(capsys):
     code = main(["verify", "--obstacle", "1,0"])
     capsys.readouterr()

@@ -1,4 +1,6 @@
 import hashlib
+import operator
+import re
 import sys
 import threading
 
@@ -31,7 +33,19 @@ from conzopt import (
     vcat,
 )
 from conzopt.scenarios import corridor_mpc_scenario, mhe_scenario, safety_scenario
-from conzopt.sparse import _count, _place, _shift_diagonal, _symbolic, _symbolic_cache
+from conzopt.sparse import (
+    _block,
+    _count,
+    _last_rows,
+    _matmul,
+    _place,
+    _place_columns,
+    _place_rows,
+    _shift_diagonal,
+    _symbolic,
+    _symbolic_cache,
+    _transpose,
+)
 from oracles import dense_ldlt, ldlt_scalar_loop
 
 
@@ -831,3 +845,161 @@ def _dyadic_assembly():
 
 def test_assembly_arrays_pinned_on_dyadic_data():
     assert {name: _digest(*arrays) for name, arrays in _dyadic_assembly().items()} == _DYADIC_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# scipy's compiled kernels, called directly, against scipy's public operations;
+# the kernels live in the private scipy.sparse._sparsetools, so these fail first
+# if a scipy release changes them
+
+
+@st.composite
+def _csc(draw, n_rows=None, n_cols=None, raw=False):
+    """A canonical scipy CSC matrix with normal or small dyadic values (whose products can
+    cancel to exactly zero); with ``raw``, possibly also unsorted columns holding an entry
+    twice, as a product's or a caller's arrays may be."""
+    n_rows = draw(st.integers(0, 6)) if n_rows is None else n_rows
+    n_cols = draw(st.integers(0, 6)) if n_cols is None else n_cols
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n_rows, n_cols)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    if draw(st.booleans()):
+        values = rng.normal(size=(n_rows, n_cols))
+    else:
+        values = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=(n_rows, n_cols))
+    m = sp.csc_matrix(values * mask)
+    if raw and m.nnz and draw(st.booleans()):         # reverse every column, repeat one entry
+        order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(m.indptr[:-1], m.indptr[1:])])
+        j = int(np.flatnonzero(np.diff(m.indptr))[0])
+        at = m.indptr[j]
+        data = np.insert(m.data[order], at, 0.25)
+        indices = np.insert(m.indices[order], at, m.indices[order][at])
+        indptr = m.indptr.copy()
+        indptr[j + 1:] += 1
+        m = sp.csc_matrix((data, indices, indptr), shape=m.shape)
+    return m
+
+
+def _assert_same_arrays(got, ref):
+    """data, indices and indptr equal, each with the same dtype, and the same shape."""
+    assert tuple(got.shape) == tuple(ref.shape)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(ref, name)
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype, name
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_product_kernel_matches_scipy_matmul(n, k, m, data):
+    a, b = data.draw(_csc(n, k, raw=True)), data.draw(_csc(k, m, raw=True))
+    ref = a @ b                      # scipy drops the exact zeros of cancelled sums, leaves order
+    ref.sort_indices()
+    _assert_same_arrays(_matmul(a, b), ref)
+    if a.has_canonical_format and b.has_canonical_format:
+        _assert_same_arrays(multiply(SparseMat(a), SparseMat(b))._m, ref)
+
+
+def test_product_kernel_cancellation_and_empty_operands():
+    a = sp.csc_matrix(np.array([[1.0, 1.0], [2.0, -2.0], [0.0, 0.0]]))
+    b = sp.csc_matrix(np.array([[1.0, 3.0], [-1.0, 3.0]]))
+    got = _matmul(a, b)                                   # (0, 0) and (1, 1) cancel exactly
+    _assert_same_arrays(got, (a @ b).sorted_indices())
+    assert got.indptr.tolist() == [0, 1, 2] and got.indices.tolist() == [1, 0]
+    for x, y in ((sp.csc_matrix((3, 0)), sp.csc_matrix((0, 2))), (sp.csc_matrix((0, 2)), b),
+                 (sp.csc_matrix((3, 2)), b), (a, sp.csc_matrix((2, 0)))):
+        _assert_same_arrays(_matmul(x, y), (x @ y).sorted_indices())
+    # shapes that do not chain never reach the kernel, which would read out of bounds
+    for x, y in ((sp.csc_matrix((0, 4)), sp.csc_matrix((0, 2))), (a, a), (b, sp.csc_matrix((3, 1)))):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            _matmul(x, y)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        unroll(interval_to_zono(IntervalBox([0.0, 0.0], [1.0, 1.0])), SparseMat(np.ones((2, 3))),
+               SparseMat.eye(2), [(interval_to_zono(IntervalBox([0.0, 0.0], [1.0, 1.0])),) * 2 + (np.zeros(2),)])
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.sampled_from([None, 0, 1, 3]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_matvec_kernels_match_scipy_matmul(n_rows, n_cols, width, data):
+    a = data.draw(_csc(n_rows, n_cols))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = SparseMat(a)
+    for op, ref, n in ((m.matvec, a, n_cols), (m.rmatvec, a.T, n_rows)):
+        x = rng.normal(size=n if width is None else (n, width))
+        got, want = op(x), ref @ x
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        if x.ndim == 2 and width:                     # a strided column, as the solver passes one
+            np.testing.assert_array_equal(op(x[:, 0]), ref @ x[:, 0])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_transpose_kernel_matches_scipy_tocsr(data):
+    a = data.draw(_csc())
+    ref = a.tocsr()                  # A's CSR arrays are A^T's CSC arrays
+    _assert_same_arrays(_transpose(a), sp.csc_matrix((ref.data, ref.indices, ref.indptr), shape=a.shape[::-1]))
+    _assert_same_arrays(SparseMat(a).T._m, a.T.tocsc())
+    assert SparseMat(a).is_symmetric() is _symmetric_by_definition(SparseMat(a))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_last_rows_match_scipy_row_slice(data):
+    a = data.draw(_csc())
+    n = data.draw(st.integers(0, a.shape[0]))
+    _assert_same_arrays(_last_rows(a, n), a[a.shape[0] - n:])
+
+
+# ---------------------------------------------------------------------------
+# _place: the column-disjoint path and the general path write the same arrays
+
+
+@given(st.integers(0, 8), st.integers(1, 10), st.data())
+@settings(max_examples=200, deadline=None)
+def test_column_and_row_paths_write_the_same_arrays(n_rows, n_cols, data):
+    cuts = sorted(data.draw(st.sets(st.integers(1, n_cols - 1), max_size=4)) | {0, n_cols}) if n_cols > 1 \
+        else [0, n_cols]
+    placed = []
+    for c0, c1 in zip(cuts, cuts[1:]):
+        if data.draw(st.booleans()):
+            h, w = data.draw(st.integers(0, n_rows)), data.draw(st.integers(1, c1 - c0))
+            block = data.draw(_raw_blocks(h, w, unique=True))
+            sign = data.draw(st.sampled_from([1.0, -1.0]))
+            placed.append((data.draw(st.integers(0, n_rows - h)), data.draw(st.integers(c0, c1 - w)),
+                           _block(block), sign))
+    placed = [p for p in placed if len(p[2].indices)]
+    if not placed:
+        return
+    by_col = _place_columns(sorted(placed, key=operator.itemgetter(1)), (n_rows, n_cols))
+    by_row = _place_rows(sorted(placed, key=operator.itemgetter(0)), (n_rows, n_cols))
+    _assert_same_arrays(by_col, by_row)
+    blocks = [(r, c, SparseMat(sp.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)))
+              for r, c, m, s in placed if s > 0]
+    negated = [(r, c, SparseMat(sp.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)))
+               for r, c, m, s in placed if s < 0]
+    _assert_same_csc(_place(blocks, (n_rows, n_cols), negated=negated), _canonical(_csc_of(by_row)))
+
+
+def _csc_of(arrays):
+    return sp.csc_matrix((arrays.data, arrays.indices, arrays.indptr), shape=arrays.shape)
+
+
+def test_place_errors_keep_their_messages_on_both_paths():
+    eye, col = SparseMat.eye(2), SparseMat([[1.0], [0.0], [1.0]])
+    out_of_range = "a block of shape (2, 2) at (1, 0) is out of range for shape (2, 3)"
+    with pytest.raises(ValueError, match=re.escape(out_of_range)):      # column-disjoint layout
+        _place([(0, 2, SparseMat.eye(1)), (1, 0, eye)], (2, 3))
+    with pytest.raises(ValueError, match=re.escape(out_of_range)):      # interleaving layout
+        _place([(0, 0, SparseMat.eye(1)), (1, 0, eye)], (2, 3))
+    with pytest.raises(ValueError, match=re.escape("a block of shape (2, 3) at (0, 1) is out of range "
+                                                   "for shape (3, 3)")):   # shape as transposed
+        _place([], (3, 3), transposed=[(0, 1, SparseMat(np.ones((3, 2))))])
+    overlap = "blocks overlap: entries of one column collide or fall out of row order"
+    for blocks in ([(0, 0, eye), (1, 1, eye)], [(0, 0, col), (1, 0, SparseMat([[1.0]]))]):
+        with pytest.raises(ValueError, match=re.escape(overlap)):
+            _place(blocks, (3, 3))
+    twice = sp.csc_matrix((np.ones(2), np.array([0, 0]), np.array([0, 2])), shape=(2, 1))
+    for shape, blocks in (((2, 1), [(0, 0, twice)]), ((2, 2), [(0, 0, twice), (0, 1, SparseMat.eye(1))]),
+                          ((3, 1), [(0, 0, twice), (2, 0, SparseMat.eye(1))])):
+        with pytest.raises(ValueError, match=re.escape(overlap)):
+            _place(blocks, shape)
