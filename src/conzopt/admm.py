@@ -200,7 +200,8 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     if q_cols.shape[0] != n_g:
         raise ValueError(f"linear cost of length {q_cols.shape[0]} does not match {n_g} factors")
     m = q_cols.shape[1]
-    rho, norm, k_inf = reduced.rho, settings.norm, settings.k_inf if n_c > 0 else 0
+    rho, norm = reduced.rho, settings.norm
+    k_inf = settings.k_inf if n_c > 0 else 0    # 0: no constraint rows, so no certificate check
 
     if warm is None:
         xi = zeta = u = np.zeros((n_g, m))  # each iteration replaces them; none is written in place

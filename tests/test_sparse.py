@@ -854,7 +854,7 @@ def test_assembly_arrays_pinned_on_dyadic_data():
 
 
 @st.composite
-def _csc(draw, n_rows=None, n_cols=None, raw=False):
+def _scipy_csc(draw, n_rows=None, n_cols=None, raw=False):
     """A canonical scipy CSC matrix with normal or small dyadic values (whose products can
     cancel to exactly zero); with ``raw``, possibly also unsorted columns holding an entry
     twice, as a product's or a caller's arrays may be."""
@@ -891,7 +891,7 @@ def _assert_same_arrays(got, ref):
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
 @settings(max_examples=200, deadline=None)
 def test_product_kernel_matches_scipy_matmul(n, k, m, data):
-    a, b = data.draw(_csc(n, k, raw=True)), data.draw(_csc(k, m, raw=True))
+    a, b = data.draw(_scipy_csc(n, k, raw=True)), data.draw(_scipy_csc(k, m, raw=True))
     ref = a @ b                      # scipy drops the exact zeros of cancelled sums, leaves order
     ref.sort_indices()
     _assert_same_arrays(_matmul(a, b), ref)
@@ -920,7 +920,7 @@ def test_product_kernel_cancellation_and_empty_operands():
 @given(st.integers(0, 6), st.integers(0, 6), st.sampled_from([None, 0, 1, 3]), st.data())
 @settings(max_examples=200, deadline=None)
 def test_matvec_kernels_match_scipy_matmul(n_rows, n_cols, width, data):
-    a = data.draw(_csc(n_rows, n_cols))
+    a = data.draw(_scipy_csc(n_rows, n_cols))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     m = SparseMat(a)
     for op, ref, n in ((m.matvec, a, n_cols), (m.rmatvec, a.T, n_rows)):
@@ -935,7 +935,7 @@ def test_matvec_kernels_match_scipy_matmul(n_rows, n_cols, width, data):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_transpose_kernel_matches_scipy_tocsr(data):
-    a = data.draw(_csc())
+    a = data.draw(_scipy_csc())
     ref = a.tocsr()                  # A's CSR arrays are A^T's CSC arrays
     _assert_same_arrays(_transpose(a), sp.csc_matrix((ref.data, ref.indices, ref.indptr), shape=a.shape[::-1]))
     _assert_same_arrays(SparseMat(a).T._m, a.T.tocsc())
@@ -945,7 +945,7 @@ def test_transpose_kernel_matches_scipy_tocsr(data):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_last_rows_match_scipy_row_slice(data):
-    a = data.draw(_csc())
+    a = data.draw(_scipy_csc())
     n = data.draw(st.integers(0, a.shape[0]))
     _assert_same_arrays(_last_rows(a, n), a[a.shape[0] - n:])
 
