@@ -26,12 +26,13 @@ import numpy as np
 from .intervals import IntervalBox
 from .sets import ConZono, generalized_intersection, point_set
 from .sparse import (
+    RankDeficiencyError,
     SparseMat,
+    _add,
     _count,
     _diagonal,
     _matmul,
     _place,
-    _shift_diagonal,
     _transpose,
     ldlt_factorize,
     ldlt_solve,
@@ -99,22 +100,35 @@ class QpProblem:
 class ReducedQp:
     """Factor-space problem data with its one factorization.
 
-    Holds P~ = G^T P G, q~ = G^T (P c + q) and the saddle matrix
-    M = [[P~ + rho I, A^T], [A, 0]] with its factorization, which both the
+    Holds q~ = G^T (P c + q) and the quasi-definite saddle matrix
+    M = [[H, A^T], [A, 0]] with its factorization, which both the
     iterations and the certificate projection solve with; ``h`` is the CSC
-    arrays of M's leading block P~ + rho I. Raises RankDeficiencyError when
-    A is not full row rank. Immutable and shareable across solves.
+    arrays of M's leading block H = P~ + rho I, P~ = G^T P G. The factor's
+    pivots must have the saddle's signs: n_G positive, then n_C negative.
+    A pivot below ``ldlt_factorize``'s threshold or of the wrong sign raises
+    RankDeficiencyError: among the first n_G, H is not positive definite
+    (the cost is not convex, or rho is too small for it); after them, A is
+    not full row rank. Immutable and shareable across solves.
     """
 
-    __slots__ = ("Z", "rho", "p_tilde", "q_tilde", "M", "factor_m")
+    __slots__ = ("Z", "rho", "q_tilde", "M", "factor_m")
 
-    def __init__(self, Z, rho, p_tilde, q_tilde, h):
+    def __init__(self, Z, rho, q_tilde, h):
         n_g, n_c = Z.n_g, Z.n_c
         M = _place([(0, 0, h), (n_g, 0, Z.A)], (n_g + n_c,) * 2, transposed=[(0, n_g, Z.A)])
-        factor_m = ldlt_factorize(M)
+        try:
+            factor_m = ldlt_factorize(M)
+        except RankDeficiencyError as err:
+            if err.pivot_index >= n_g:
+                raise
+            raise _not_convex(err.pivot_index, err.pivot_value) from None
+        D = factor_m.D
+        wrong = np.flatnonzero((D > 0.0) != (np.arange(len(D)) < n_g))
+        if len(wrong):
+            k = int(wrong[0])
+            raise _not_convex(k, D[k]) if k < n_g else RankDeficiencyError(k, float(D[k]))
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "rho", float(rho))
-        object.__setattr__(self, "p_tilde", p_tilde)
         object.__setattr__(self, "q_tilde", q_tilde)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "factor_m", factor_m)
@@ -131,14 +145,22 @@ class ReducedQp:
         return self.Z.n_c
 
 
+def _not_convex(k, pivot):
+    return RankDeficiencyError(k, float(pivot), (
+        f"pivot {pivot:.3e} at index {k} of the leading block: P~ + rho I is not positive "
+        "definite, so the cost is not convex (or rho is too small for it)"))
+
+
 def reduce_qp(problem: QpProblem, settings: AdmmSettings = AdmmSettings()) -> ReducedQp:
-    """Project the QP onto the factor space of its feasible set."""
+    """Project the QP onto the factor space of its feasible set.
+
+    P~ = G^T P G stays the arrays of its product; ``_add`` adds rho I to them."""
     Z = problem.Z
     # P G canonical (sorted indices, no explicit zeros) fixes the order
     # in which G^T (P G) sums each entry
-    p_tilde = SparseMat(_matmul(_transpose(Z.G._m), _matmul(problem.P._m, Z.G._m)))
+    p_tilde = _matmul(_transpose(Z.G._m), _matmul(problem.P._m, Z.G._m))
     q_tilde = Z.G.rmatvec(problem.P.matvec(Z.c) + problem.q)
-    return ReducedQp(Z, settings.rho, p_tilde, q_tilde, _shift_diagonal(p_tilde, float(settings.rho)))
+    return ReducedQp(Z, settings.rho, q_tilde, _add(p_tilde, _diagonal(Z.n_g, float(settings.rho))))
 
 
 def reduce_feasibility(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> ReducedQp:
@@ -148,8 +170,7 @@ def reduce_feasibility(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> R
     objective guarantees the iterate difference converges onto a
     certificate whenever the set is empty.
     """
-    return ReducedQp(Z, settings.rho, SparseMat.eye(Z.n_g), np.zeros(Z.n_g),
-                     _diagonal(Z.n_g, 1.0 + float(settings.rho)))
+    return ReducedQp(Z, settings.rho, np.zeros(Z.n_g), _diagonal(Z.n_g, 1.0 + float(settings.rho)))
 
 
 @dataclass
@@ -392,8 +413,7 @@ def support(Z: ConZono, d, settings: AdmmSettings = AdmmSettings()) -> float:
 
 def reduce_support(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> ReducedQp:
     """Zero-cost reduced problem reusable for many support directions."""
-    return ReducedQp(Z, settings.rho, SparseMat.zeros(Z.n_g, Z.n_g), np.zeros(Z.n_g),
-                     _diagonal(Z.n_g, float(settings.rho)))
+    return ReducedQp(Z, settings.rho, np.zeros(Z.n_g), _diagonal(Z.n_g, float(settings.rho)))
 
 
 def support_batch(Z: ConZono, directions, settings: AdmmSettings = AdmmSettings()):

@@ -19,7 +19,7 @@ from .intervals import IntervalBox
 from .reach import LinearSystem, _fused_domains, _last_block, unroll
 from .sets import ConZono, generalized_intersection, interval_to_zono, point_set
 from .sets import cartesian_product  # noqa: F401  (perfbench/tests patch it under this name)
-from .sparse import SparseMat, _count, _csc, _matmul, _transpose, blkdiag, multiply
+from .sparse import SparseMat, _add, _count, _matmul, _transpose, blkdiag, multiply
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,8 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
     if len(x_refs) < N:
         raise ValueError(f"need {N} references, got {len(x_refs)}")
     K = K if isinstance(K, SparseMat) else SparseMat(K)
-    a_closed, noise_map = SparseMat(sys.A._m - _csc(*_matmul(sys.B._m, K._m))), SparseMat.eye(sys.n_x)
+    bk = _matmul(sys.B._m, K._m)
+    a_closed, noise_map = SparseMat(_add(sys.A._m, bk._replace(data=-bk.data))), SparseMat.eye(sys.n_x)
 
     results = []
     X = X0

@@ -23,16 +23,17 @@ blocks' arrays are written end to end with no sort and no check; any other
 layout is merged per column by scipy's COO-to-CSR kernel and checked for
 overlap.
 
-Products, matrix-vector products and transposes call the compiled kernels
-of ``scipy.sparse._sparsetools`` that scipy's ``@`` and ``tocsr`` run, on
-the same arrays, so they return scipy's values and index dtypes without
-its Python wrappers: ``multiply`` and every product inside the package go
-through ``_matmul``, ``matvec`` and ``rmatvec`` through ``_matvec``, and
-``.T`` and ``is_symmetric`` through ``_transpose``; ``_last_rows`` slices
-a row range off the CSC arrays. The arrays ``_place`` and these kernels
-write, and those of ``zeros``, ``eye``, a dense input and the factor L,
-reach the constructor as a ``_Csc``, which it takes without a copy or
-scipy's validating constructor.
+Products, sums, matrix-vector products and transposes call the compiled
+kernels of ``scipy.sparse._sparsetools`` that scipy's ``@``, ``+`` and
+``tocsr`` run, on the same arrays, so they return scipy's values and index
+dtypes without its Python wrappers: ``multiply`` and every product inside
+the package go through ``_matmul``, every sum (P~ + rho I, A - B K and
+``is_symmetric``'s M - M^T) through ``_add``, ``matvec`` and ``rmatvec``
+through ``_matvec``, and ``.T`` and ``is_symmetric`` through
+``_transpose``; ``_last_rows`` slices a row range off the CSC arrays. The
+arrays ``_place`` and these kernels write, and those of ``zeros``, ``eye``,
+a negation, a dense input and the factor L, reach the constructor as a
+``_Csc``, which it takes without a copy or scipy's validating constructor.
 
 ``ldlt_factorize`` reads the upper triangle off the sorted columns of M
 and writes L's unit diagonal into the factor's arrays, and
@@ -66,6 +67,7 @@ from scipy.sparse._sparsetools import (
     csr_matmat_maxnnz,
     csr_matvec,
     csr_matvecs,
+    csr_plus_csr,
     csr_sort_indices,
     csr_tocsc,
 )
@@ -73,16 +75,18 @@ from scipy.sparse.linalg import splu
 
 
 class RankDeficiencyError(ValueError):
-    """Raised when a pivot falls below the rank-deficiency threshold."""
+    """Raised when a pivot falls below the rank-deficiency threshold or, in a saddle
+    matrix, has the wrong sign. The default message blames the constraint rows;
+    ``message`` replaces it."""
 
-    def __init__(self, pivot_index, pivot_value):
+    def __init__(self, pivot_index, pivot_value, message=None):
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
-        super().__init__(
-            f"rank-deficient matrix: |pivot| = {abs(pivot_value):.3e} at "
-            f"index {pivot_index} is below threshold; the constraint rows "
-            "are not full row rank (redundant constraints can be removed)"
-        )
+        super().__init__(message or (
+            f"rank-deficient matrix: pivot {pivot_value:.3e} at index {pivot_index} is "
+            "below threshold or of the wrong sign; the constraint rows are not full row "
+            "rank (redundant constraints can be removed)"
+        ))
 
 
 class SparseMat:
@@ -99,8 +103,7 @@ class SparseMat:
         if isinstance(data, SparseMat):
             m = data._m
         else:
-            # the one copy: a float CSC matrix is copied, any other input is converted,
-            # and arrays built for this matrix (a _Csc) are taken as they are
+            # the one copy: arrays built for this matrix (a _Csc) are taken as they are
             if type(data) is _Csc:
                 m = _csc(*data)
             elif not sp.issparse(data):
@@ -108,10 +111,6 @@ class SparseMat:
                 if shape is not None and data.size == 0:
                     data = data.reshape(shape)
                 m = _csc(*_dense_csc(data))
-            elif type(data) is sp.csc_matrix and data.dtype == np.float64:
-                # fresh arrays of a valid CSC matrix: scipy's constructor would only check them again
-                nnz = data.indptr[-1]
-                m = _csc(data.data[:nnz].copy(), data.indices[:nnz].copy(), data.indptr.copy(), data.shape)
             else:
                 m = sp.csc_matrix(data, dtype=float, copy=True)
             m.sum_duplicates()
@@ -182,7 +181,7 @@ class SparseMat:
         return SparseMat(_transpose(self._m))
 
     def __neg__(self):
-        return SparseMat(-self._m)
+        return SparseMat(_Csc(-self._m.data, self._m.indices.copy(), self._m.indptr.copy(), self.shape))
 
     def __matmul__(self, other):
         return multiply(self, other)
@@ -216,7 +215,7 @@ class SparseMat:
         if np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices):
             gap = np.abs(m.data - t.data)
         else:
-            gap = np.abs((m - m.T).data)
+            gap = np.abs(_add(m, t._replace(data=-t.data)).data)
         return not gap.size or float(gap.max()) <= 1e-12 * (1.0 + self.max_abs())
 
     def __repr__(self):
@@ -422,24 +421,23 @@ def _diagonal(n, value):
     return _Csc(np.full(n, value), diag[:-1].copy(), diag, (n, n))
 
 
-def _shift_diagonal(m, shift):
-    """CSC arrays of the square SparseMat m + shift I, for ``_place``: shift is added at
-    each column's diagonal slot, and a slot is inserted below the column's entries above
-    the diagonal where it has none. A diagonal entry that cancels to zero stays until
-    the matrix is built."""
-    c = m._m
-    n = c.shape[1]
-    col = np.repeat(np.arange(n), np.diff(c.indptr))
-    on = c.indices == col
-    data = c.data.copy()
-    data[on] += shift
-    missing = np.ones(n, dtype=bool)
-    missing[col[on]] = False
-    j = np.flatnonzero(missing)
-    at = c.indptr[j] + np.bincount(col[c.indices < col], minlength=n)[j]
-    indptr = c.indptr.copy()
-    indptr[1:] += np.cumsum(missing, dtype=indptr.dtype)
-    return _Csc(np.insert(data, at, shift), np.insert(c.indices, at, j), indptr, c.shape)
+def _add(a, b):
+    """The sum a + b of two CSC matrices (scipy or ``_Csc``) as CSC arrays, a ``_Csc``: the
+    kernel scipy's ``+`` runs, on the same arrays. It drops entries that cancel to exactly zero,
+    and canonical operands give a canonical sum. Shapes that differ raise ValueError."""
+    if a.shape != b.shape:
+        raise ValueError(f"cannot add {a.shape} and {b.shape}")
+    n_rows, n_cols = a.shape
+    bound = len(a.indices) + len(b.indices)
+    idx = _index_dtype(n_rows, n_cols, bound)
+    ops = [x.astype(idx, copy=False) for x in (a.indptr, a.indices, b.indptr, b.indices)]
+    indptr, indices, data = np.empty(n_cols + 1, dtype=idx), np.empty(bound, dtype=idx), np.empty(bound)
+    # a + b in CSC is a^T + b^T in CSR, whose CSR arrays are a's and b's CSC arrays
+    csr_plus_csr(n_cols, n_rows, ops[0], ops[1], a.data, ops[2], ops[3], b.data, indptr, indices, data)
+    nnz = int(indptr[-1])
+    if nnz < bound:                     # keep no slack, as for a product
+        indices, data = indices[:nnz].copy(), data[:nnz].copy()
+    return _Csc(data, indices, indptr, (n_rows, n_cols))
 
 
 def _column_ranges(m, widths):

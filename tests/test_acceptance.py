@@ -135,9 +135,10 @@ def test_criterion_4_admm_matches_enumeration_oracle():
         red = reduce_qp(prob)
         res = admm_solve(red, settings)
         assert res.status == "converged"
-        obj = 0.5 * res.xi @ red.p_tilde.matvec(res.xi) + red.q_tilde @ res.xi
-        best, xi_best, unique = box_qp_oracle(
-            red.p_tilde.toarray(), red.q_tilde, prob.Z.A.toarray(), prob.Z.b)
+        G = prob.Z.G.toarray()
+        p_tilde = G.T @ prob.P.toarray() @ G
+        obj = 0.5 * res.xi @ p_tilde @ res.xi + red.q_tilde @ res.xi
+        best, xi_best, unique = box_qp_oracle(p_tilde, red.q_tilde, prob.Z.A.toarray(), prob.Z.b)
         gap = abs(obj - best) / (1.0 + abs(best))
         worst_gap = max(worst_gap, gap)
         if unique:

@@ -88,7 +88,6 @@ def test_settings_accept_numpy_integers():
 def test_reduce_unit_box_identity_cost():
     Z = unit_box()
     red = reduce_qp(QpProblem(SparseMat.eye(2), np.zeros(2), Z))
-    assert np.array_equal(red.p_tilde.toarray(), np.eye(2))
     assert np.array_equal(red.q_tilde, np.zeros(2))
     assert np.array_equal(red.M.toarray(), 2.0 * np.eye(2))
 
@@ -138,6 +137,16 @@ def test_reduce_flags_redundant_constraints():
         reduce_qp(QpProblem(SparseMat.eye(2), np.zeros(2), Z))
 
 
+@pytest.mark.parametrize("Z, pivot", [(unit_box(), 0), (make_regular_polygon(6, 1.0), 1)])
+def test_reduce_rejects_a_nonconvex_cost(Z, pivot):
+    # P = -2 I: P~ + rho I = I - 2 G^T G has a negative pivot first on the box, where the
+    # splitting would otherwise run to its iteration limit, and a zero one second on the
+    # hexagon, which has no constraint row to blame
+    with pytest.raises(RankDeficiencyError, match="not positive definite, so the cost is not convex") as err:
+        reduce_qp(QpProblem(SparseMat.eye(2, -2.0), [0.1, 0.0], Z))
+    assert err.value.pivot_index == pivot
+
+
 def _reductions(Z):
     # one ReducedQp per mode: QP with a diagonal cost that is not a multiple of I
     # in factor space, feasibility, and support
@@ -158,6 +167,18 @@ def test_reduced_qp_factors_only_the_saddle_matrix(rng, monkeypatch):
             red = reduce()
             assert len(factored) == 1
             assert factored[0] is red.M
+
+
+def test_each_reduction_builds_only_the_saddle_and_its_factor(rng, monkeypatch):
+    # P~ stays the arrays of its product, and no identity or zero matrix is built for H
+    built = []
+    init = SparseMat.__init__
+    monkeypatch.setattr(SparseMat, "__init__", lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    for Z in (unit_box(3), random_conzono(rng, 3)):
+        for reduce in _reductions(Z):
+            built.clear()
+            red = reduce()
+            assert built == [red.M, red.factor_m.L]
 
 
 @pytest.mark.parametrize("rows", [
@@ -293,9 +314,9 @@ def test_matches_active_set_oracle(seed):
     settings = AdmmSettings(eps_primal=1e-6, eps_dual=1e-6, max_iter=50000)
     res = admm_solve(red, settings)
     assert res.status == "converged"
-    obj = 0.5 * res.xi @ red.p_tilde.matvec(res.xi) + red.q_tilde @ res.xi
-    best, xi_best, unique = box_qp_oracle(
-        red.p_tilde.toarray(), red.q_tilde, Z.A.toarray(), Z.b)
+    p_tilde = Z.G.toarray().T @ P.toarray() @ Z.G.toarray()
+    obj = 0.5 * res.xi @ p_tilde @ res.xi + red.q_tilde @ res.xi
+    best, xi_best, unique = box_qp_oracle(p_tilde, red.q_tilde, Z.A.toarray(), Z.b)
     assert obj <= best + 1e-4 * (1.0 + abs(best))
     assert obj >= best - 1e-6 * (1.0 + abs(best))
     if unique:

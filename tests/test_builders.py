@@ -109,9 +109,9 @@ def test_build_mpc_optimum_matches_enumeration_oracle():
     settings = AdmmSettings(eps_primal=1e-6, eps_dual=1e-6, max_iter=50000)
     res = admm_solve(red, settings)
     assert res.status == "converged"
-    obj = 0.5 * res.xi @ red.p_tilde.matvec(res.xi) + red.q_tilde @ res.xi
-    best, _, _ = box_qp_oracle(red.p_tilde.toarray(), red.q_tilde,
-                               Z.A.toarray(), Z.b)
+    p_tilde = Z.G.toarray().T @ P.toarray() @ Z.G.toarray()
+    obj = 0.5 * res.xi @ p_tilde @ res.xi + red.q_tilde @ res.xi
+    best, _, _ = box_qp_oracle(p_tilde, red.q_tilde, Z.A.toarray(), Z.b)
     assert obj <= best + 1e-4 * (1.0 + abs(best))
 
 

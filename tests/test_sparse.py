@@ -32,8 +32,10 @@ from conzopt import (
     unroll,
     vcat,
 )
+from conzopt.admm import ReducedQp
 from conzopt.scenarios import corridor_mpc_scenario, mhe_scenario, safety_scenario
 from conzopt.sparse import (
+    _add,
     _block,
     _count,
     _last_rows,
@@ -41,7 +43,6 @@ from conzopt.sparse import (
     _place,
     _place_columns,
     _place_rows,
-    _shift_diagonal,
     _symbolic,
     _symbolic_cache,
     _transpose,
@@ -766,19 +767,44 @@ def test_ldlt_matches_scalar_loop_on_saddles(name):
     assert outcome[0] == 3 if name == "dependent-rows" else isinstance(outcome, list)
 
 
-@given(st.integers(1, 10), st.data(), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_ldlt_matches_scalar_loop_on_random_saddles(n_pos, data, density, seed):
-    # [[H, A^T], [A, 0]] with H symmetric and diagonally dominant and a sparse random A;
-    # rows of A that are dependent (an empty row, or n_con > n_pos) stop both at one pivot
-    n_con = data.draw(st.integers(0, n_pos + 1))
-    rng = np.random.default_rng(seed)
+def _random_saddle_blocks(rng, n_pos, n_con, density):
+    """H symmetric and diagonally dominant, and a sparse random A of n_con rows."""
     S = rng.normal(size=(n_pos, n_pos)) * (rng.random((n_pos, n_pos)) < density)
     H = S + S.T
     np.fill_diagonal(H, np.abs(H).sum(axis=1) + rng.random(n_pos) + 0.5)
     A = rng.normal(size=(n_con, n_pos)) * (rng.random((n_con, n_pos)) < density)
+    return H, A
+
+
+@given(st.integers(1, 10), st.data(), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_ldlt_matches_scalar_loop_on_random_saddles(n_pos, data, density, seed):
+    # [[H, A^T], [A, 0]]; rows of A that are dependent (an empty row, or n_con > n_pos)
+    # stop both at the same pivot when one falls below the threshold, and may pass both
+    # with a noise pivot above it, which ReducedQp's sign check then has to catch
+    n_con = data.draw(st.integers(0, n_pos + 1))
+    H, A = _random_saddle_blocks(np.random.default_rng(seed), n_pos, n_con, density)
     M = SparseMat(np.block([[H, A.T], [A, np.zeros((n_con, n_con))]]))
     assert _outcome(ldlt_factorize, M) == _outcome(ldlt_scalar_loop, M)
+
+
+def _reduced_random_saddle(seed):
+    rng = np.random.default_rng(seed)
+    n_pos = int(rng.integers(1, 11))
+    n_con = int(rng.integers(0, n_pos + 2))
+    H, A = _random_saddle_blocks(rng, n_pos, n_con, rng.uniform(0.1, 1.0))
+    Z = ConZono(SparseMat.eye(n_pos), np.zeros(n_pos), SparseMat(A), np.zeros(n_con))
+    return ReducedQp(Z, 1.0, np.zeros(n_pos), SparseMat(H))
+
+
+@pytest.mark.parametrize("seed, pivot", [(205, 12), (6861, 20), (6942, 7), (7247, 18)])
+def test_saddle_sign_check_rejects_dependent_rows_above_threshold(seed, pivot):
+    # A has more rows than columns, so its rows are dependent, yet every pivot clears
+    # ldlt_factorize's threshold; one trailing pivot is positive, which a quasi-definite
+    # saddle never has, and a solve with that factor would return |x| near 1e16 or more
+    with pytest.raises(RankDeficiencyError, match="not full row rank") as err:
+        _reduced_random_saddle(seed)
+    assert err.value.pivot_index == pivot and err.value.pivot_value > 0
 
 
 def test_symbolic_schedule_by_hand():
@@ -792,19 +818,6 @@ def test_symbolic_schedule_by_hand():
     assert schedule.tolist() == [1, 0, 1, 0, 2]
     assert row_ptr.tolist() == [0, 0, 0, 2, 5]
     assert Lp.tolist() == [0, 3, 6, 8, 9]
-
-
-def test_shift_diagonal_matches_scipy_addition():
-    # full, partial and empty diagonals, one that cancels to zero, and the empty matrix
-    rng = np.random.default_rng(5)
-    cases = [sp.random(n, n, density=d, random_state=int(rng.integers(1 << 30)), format="csc")
-             for n, d in ((6, 0.9), (9, 0.3), (9, 0.05), (0, 0.0))]
-    cases += [sp.diags([-0.75, 2.0, 0.0, 3.0], format="csc"), sp.csc_matrix(np.ones((3, 3)))]
-    for s in cases:
-        m = SparseMat(s + s.T)
-        n = m.n_rows
-        ref = SparseMat(m._m + 1.5 * sp.identity(n, format="csc"))
-        _assert_same_csc(_place([(0, 0, _shift_diagonal(m, 1.5))], (n, n)), ref._m)
 
 
 # ---------------------------------------------------------------------------
@@ -940,6 +953,35 @@ def test_transpose_kernel_matches_scipy_tocsr(data):
     _assert_same_arrays(_transpose(a), sp.csc_matrix((ref.data, ref.indices, ref.indptr), shape=a.shape[::-1]))
     _assert_same_arrays(SparseMat(a).T._m, a.T.tocsc())
     assert SparseMat(a).is_symmetric() is _symmetric_by_definition(SparseMat(a))
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sum_kernel_matches_scipy_addition(n_rows, n_cols, data):
+    a, b = data.draw(_scipy_csc(n_rows, n_cols, raw=True)), data.draw(_scipy_csc(n_rows, n_cols, raw=True))
+    ref = a + b                      # scipy drops the exact zeros of cancelled sums
+    _assert_same_arrays(_add(a, b), ref)
+    if a.has_canonical_format and b.has_canonical_format:     # then the sum is canonical too
+        assert ref.has_canonical_format
+        _assert_same_arrays(SparseMat(_add(a, b))._m, ref)
+
+
+def test_sum_kernel_on_diagonal_shifts_and_shape_errors():
+    # P~ + rho I on full, partial and empty diagonals, one that cancels to zero, and the
+    # empty matrix
+    rng = np.random.default_rng(5)
+    cases = [sp.random(n, n, density=d, random_state=int(rng.integers(1 << 30)), format="csc")
+             for n, d in ((6, 0.9), (9, 0.3), (9, 0.05), (0, 0.0))]
+    cases += [sp.diags([-0.75, 2.0, 0.0, 3.0], format="csc"), sp.csc_matrix(np.ones((3, 3)))]
+    for s in cases:
+        m = SparseMat(s + s.T)._m
+        shift = 1.5 * sp.identity(m.shape[0], format="csc")
+        _assert_same_arrays(_add(m, shift), m + shift)
+        _assert_same_csc(_place([(0, 0, _add(m, shift))], m.shape), _canonical(m + shift))
+    got = _add(sp.csc_matrix(np.diag([-1.5, 2.0])), sp.csc_matrix(np.diag([1.5, 1.5])))
+    assert got.indptr.tolist() == [0, 0, 1] and got.data.tolist() == [3.5]   # (0, 0) cancels
+    with pytest.raises(ValueError, match="cannot add"):
+        _add(sp.csc_matrix((2, 3)), sp.csc_matrix((3, 2)))
 
 
 @given(st.data())
