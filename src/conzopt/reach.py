@@ -136,8 +136,7 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     if pin_at:  # column range k of F_x [x_G_0 ... x_G_N-1] goes to step k's pin rows
         pin_rows, x_cols, x_Gs = zip(*pin_at)
         widths = [G.shape[1] for G in x_Gs]
-        x_G = x_Gs[0] if len(x_Gs) == 1 else _place_csc(
-            [(0, c, G) for c, G in zip(accumulate(widths, initial=0), x_Gs)], (n_x, sum(widths)))
+        x_G = _place_csc([(0, c, G) for c, G in zip(accumulate(widths, initial=0), x_Gs)], (n_x, sum(widths)))
         F_x_G = _matmul(F_x._m, x_G)
         for FG in (*fm_G.values(), F_x_G):
             _check_finite("A", FG.data)

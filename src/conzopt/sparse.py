@@ -16,12 +16,8 @@ Every matrix the package assembles from pieces, in this module or any
 other, is written by ``_place`` from non-overlapping blocks (or by
 ``_place_csc``, its array half, for an operand no SparseMat keeps), so
 no other module handles (row, col, value) triplets; ``from_triplets``
-only validates such data from outside. When no two blocks with entries
-share a column (``hcat``, ``blkdiag``, the G of ``generalized_intersection``
-and ``reach.unroll``, the cost P of ``build_mpc`` and ``build_mhe``), the
-blocks' arrays are written end to end with no sort and no check; any other
-layout is merged per column by scipy's COO-to-CSR kernel and checked for
-overlap.
+only validates such data from outside. Every layout is merged per column
+by scipy's COO-to-CSR kernel and checked for overlap.
 
 Products, sums, matrix-vector products and transposes call the compiled
 kernels of ``scipy.sparse._sparsetools`` that scipy's ``@``, ``+`` and
@@ -37,8 +33,8 @@ a negation, a dense input and the factor L, reach the constructor as a
 
 ``ldlt_factorize`` reads the upper triangle off the sorted columns of M
 and writes L's unit diagonal into the factor's arrays, and
-``is_symmetric`` compares M's arrays with those of M^T in place when
-the two patterns agree, so a factorization builds no matrix besides L.
+``is_symmetric`` forms M - M^T as arrays, so a factorization builds no
+matrix besides L.
 The factorization is split in two: a symbolic pass, cached per sparsity
 pattern, walks the elimination tree once and records L's column pointers
 and, for every row, the columns it eliminates in order; the numeric pass
@@ -203,19 +199,11 @@ class SparseMat:
         return float(np.max(np.abs(self._m.data))) if self.nnz else 0.0
 
     def is_symmetric(self):
-        """Whether max|M - M^T| <= 1e-12 (1 + max|M|).
-
-        When the pattern is symmetric, M^T's CSC arrays (those of M in CSR)
-        line up with M's, so the entries are compared in place; M - M^T is
-        formed only for an asymmetric pattern.
-        """
+        """Whether max|M - M^T| <= 1e-12 (1 + max|M|)."""
         if self.n_rows != self.n_cols:
             return False
-        m, t = self._m, _transpose(self._m)
-        if np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices):
-            gap = np.abs(m.data - t.data)
-        else:
-            gap = np.abs(_add(m, t._replace(data=-t.data)).data)
+        t = _transpose(self._m)
+        gap = np.abs(_add(self._m, t._replace(data=-t.data)).data)
         return not gap.size or float(gap.max()) <= 1e-12 * (1.0 + self.max_abs())
 
     def __repr__(self):
@@ -302,23 +290,22 @@ def _matvec(m, x, shape, kernel, kernels):
     return y if x.ndim == 1 else y.reshape(n_out, 1)
 
 
-_OVERLAP = "blocks overlap: entries of one column collide or fall out of row order"
-
-
 def _place(blocks, shape, negated=(), transposed=()):
     """Matrix of the given shape holding each (row, col, block) at that offset, each block
-    of ``negated`` times -1 and each of ``transposed`` transposed. Blocks are SparseMat,
-    ``_Csc`` arrays with sorted columns (a product's, a ``_column_ranges`` view) or scipy
-    matrices; other formats are converted to CSC, unsorted indices sorted in place, and a
-    block holding an entry twice raises ValueError. When no two blocks with entries share a
-    column, ``_place_columns`` writes the arrays end to end; otherwise ``_place_rows`` merges
-    each column's entries in block-row order. A block outside the shape, or blocks whose
-    entries collide or interleave in a column, raise ValueError."""
+    of ``negated`` times -1 and each of ``transposed`` transposed. Blocks are SparseMat or
+    ``_Csc`` arrays with sorted columns (a product's, a ``_column_ranges`` view). A block
+    outside the shape, or blocks whose entries collide or interleave in a column, raise
+    ValueError."""
     return SparseMat(_place_csc(blocks, shape, negated, transposed))
 
 
 def _place_csc(blocks, shape, negated=(), transposed=()):
-    """``_place``'s canonical CSC arrays as a ``_Csc``, for an operand that no SparseMat keeps."""
+    """``_place``'s canonical CSC arrays as a ``_Csc``, for an operand that no SparseMat keeps.
+
+    With the blocks in row-offset order, scipy's COO-to-CSR kernel on the transpose is a
+    stable counting sort on the column, so each column takes its entries in block-row order
+    and any collision or interleaving shows as a column out of row order.
+    """
     n_rows, n_cols = shape
     placed = [(r, c, _block(m), 1.0) for r, c, m in blocks]
     placed += [(r, c, _block(m), -1.0) for r, c, m in negated]
@@ -327,77 +314,13 @@ def _place_csc(blocks, shape, negated=(), transposed=()):
         h, w = m.shape
         if r < 0 or c < 0 or r + h > n_rows or c + w > n_cols:
             raise ValueError(f"a block of shape {(h, w)} at ({r}, {c}) is out of range for shape {shape}")
-    placed = [p for p in placed if len(p[2].indices)]
-    if not placed:
-        idx = _index_dtype(*shape)
-        return _Csc(np.zeros(0), np.zeros(0, dtype=idx), np.zeros(n_cols + 1, dtype=idx), shape)
-    by_col = sorted(placed, key=operator.itemgetter(1))
-    if all(c1 >= c0 + m0.shape[1] for (_, c0, m0, _), (_, c1, _, _) in zip(by_col, by_col[1:])):
-        return _place_columns(by_col, shape)
-    return _place_rows(sorted(placed, key=operator.itemgetter(0)), shape)
-
-
-def _block(m):
-    """A block's CSC arrays with sorted columns: a SparseMat's matrix, a ``_Csc`` as it is,
-    or a scipy matrix converted to CSC with its indices sorted in place; ValueError when
-    the block holds an entry twice."""
-    if isinstance(m, SparseMat):
-        return m._m
-    if type(m) is _Csc:
-        return m
-    m = m if m.format == "csc" else m.tocsc()
-    m.sort_indices()                        # only where has_sorted_indices is false
-    if not m.has_canonical_format:
-        raise ValueError(_OVERLAP)
-    return m
-
-
-def _rows_and_data(placed, nnz, idx):
-    """The blocks' row indices, shifted by their row offsets, and their signed data, each
-    end to end as one array; nnz lists the blocks' entry counts."""
-    rows = np.concatenate([m.indices for _, _, m, _ in placed]).astype(idx, copy=False)
-    data = np.concatenate([m.data for _, _, m, _ in placed])
-    if any(r for r, _, _, _ in placed):
-        rows += np.repeat(np.array([r for r, _, _, _ in placed], dtype=idx), nnz)
-    if any(s < 0 for _, _, _, s in placed):
-        data *= np.repeat(np.array([s for _, _, _, s in placed]), nnz)
-    return rows, data
-
-
-def _place_columns(placed, shape):
-    """Canonical CSC arrays of blocks with entries, sorted by column offset, no two of which
-    share a column: each column holds one block's sorted entries, so the arrays are the
-    blocks' written end to end, with no sort and no check. A column no block covers
-    repeats the pointer before it."""
-    nnz = [len(m.indices) for _, _, m, _ in placed]
-    total = sum(nnz)
-    idx = _index_dtype(*shape, total)
-    pieces, starts, end, before = [], [], 0, 0     # indptr pieces, the entries before each
-    for (_, c, m, _), k in zip(placed, nnz):
-        if c > end:
-            pieces.append(np.zeros(c - end, dtype=idx))
-            starts.append(before)
-        pieces.append(m.indptr[:-1])
-        starts.append(before)
-        end, before = c + m.shape[1], before + k
-    pieces.append(np.zeros(shape[1] - end + 1, dtype=idx))
-    starts.append(total)
-    indptr = np.concatenate(pieces).astype(idx, copy=False)
-    indptr += np.repeat(np.array(starts, dtype=idx), [len(p) for p in pieces])
-    rows, data = _rows_and_data(placed, nnz, idx)
-    return _Csc(data, rows, indptr, shape)
-
-
-def _place_rows(placed, shape):
-    """Canonical CSC arrays of blocks with entries, sorted by row offset: scipy's COO-to-CSR
-    kernel on the transpose is a stable counting sort on the column, so each column takes
-    its entries in block-row order. Entries that collide or fall out of row order raise
-    ValueError."""
-    n_rows, n_cols = shape
+    placed = sorted((p for p in placed if len(p[2].indices)), key=operator.itemgetter(0))
     nnz = [len(m.indices) for _, _, m, _ in placed]
     slots = [len(m.indptr) for _, _, m, _ in placed]
     total = sum(nnz)
     idx = _index_dtype(*shape, total)
+    if not placed:
+        return _Csc(np.zeros(0), np.zeros(0, dtype=idx), np.zeros(n_cols + 1, dtype=idx), shape)
     # the indptrs end to end, each shifted by the entries before it, so a block's last slot
     # equals the next block's first; slot s of the block whose first slot is f is column
     # s - f + c of the result
@@ -407,12 +330,22 @@ def _place_rows(placed, shape):
     ptr = np.concatenate([m.indptr for _, _, m, _ in placed]) + shifts[0]
     slot_col = np.arange(len(ptr)) + shifts[1]
     col = np.repeat(slot_col[:-1], ptr[1:] - ptr[:-1]).astype(idx, copy=False)
-    row, data = _rows_and_data(placed, nnz, idx)
+    row = np.concatenate([m.indices for _, _, m, _ in placed]).astype(idx, copy=False)
+    data = np.concatenate([m.data for _, _, m, _ in placed])
+    if any(r for r, _, _, _ in placed):
+        row += np.repeat(np.array([r for r, _, _, _ in placed], dtype=idx), nnz)
+    if any(s < 0 for _, _, _, s in placed):
+        data *= np.repeat(np.array([s for _, _, _, s in placed]), nnz)
     indptr, indices, out = np.empty(n_cols + 1, dtype=idx), np.empty(total, dtype=idx), np.empty(total)
     coo_tocsr(n_cols, n_rows, total, col, row, data, indptr, indices, out)
     if not csr_has_canonical_format(n_cols, indptr, indices):
-        raise ValueError(_OVERLAP)
+        raise ValueError("blocks overlap: entries of one column collide or fall out of row order")
     return _Csc(out, indices, indptr, shape)
+
+
+def _block(m):
+    """A block's CSC arrays: a SparseMat's matrix, or a ``_Csc`` as it is."""
+    return m._m if isinstance(m, SparseMat) else m
 
 
 def _diagonal(n, value):
@@ -550,7 +483,9 @@ class LdltFactor:
     mixed-sign pivots: M = L D L^T. The back-solve reads L through SuperLU,
     built once from L in natural order without pivoting, which reproduces
     L with U = I; each column of a right-hand side is solved the same way
-    whatever the number of columns.
+    whatever the number of columns. The SuperLU object is kept rather than
+    calling ``spsolve_triangular`` per solve: in scipy 1.17.1 that function's
+    kernel (``_superlu.gstrs``) leaks memory on every call.
 
     The factor is immutable; solves allocate per-call scratch and are
     safe to run concurrently.

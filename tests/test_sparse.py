@@ -1,5 +1,4 @@
 import hashlib
-import operator
 import re
 import sys
 import threading
@@ -35,14 +34,12 @@ from conzopt import (
 from conzopt.admm import ReducedQp
 from conzopt.scenarios import corridor_mpc_scenario, mhe_scenario, safety_scenario
 from conzopt.sparse import (
+    _Csc,
     _add,
-    _block,
     _count,
     _last_rows,
     _matmul,
     _place,
-    _place_columns,
-    _place_rows,
     _symbolic,
     _symbolic_cache,
     _transpose,
@@ -107,7 +104,8 @@ def test_place_matches_coo_assembly():
     blocks = [(0, 0, csr), (3, 1, base.T), (1, 5, unsorted), (5, 6, zeros), (6, 0, SparseMat(base))]
     shape = (10, 9)
     flipped = sp.csc_matrix(np.array([[2.0], [0.0], [-1.0]]))
-    got = _place(blocks, shape, negated=[(7, 4, negated)], transposed=[(9, 6, flipped)]).tocsc()
+    got = _place([(r, c, SparseMat(b)) for r, c, b in blocks], shape, negated=[(7, 4, SparseMat(negated))],
+                 transposed=[(9, 6, SparseMat(flipped))]).tocsc()
     placed = blocks + [(7, 4, -negated), (9, 6, flipped.T)]
     coos = [_scipy(b).tocoo() for _, _, b in placed]
     ref = SparseMat(sp.coo_matrix((np.concatenate([m.data for m in coos]),
@@ -128,8 +126,6 @@ def test_place_rejects_overlapping_blocks():
         _place([(0, 0, SparseMat.eye(2))], (3, 3), transposed=[(1, 1, SparseMat.eye(2))])
     with pytest.raises(ValueError, match="overlap"):     # rows 0 and 2 from one block, row 1 from another
         _place([(0, 0, SparseMat([[1.0], [0.0], [1.0]])), (1, 0, SparseMat([[1.0]]))], (3, 1))
-    with pytest.raises(ValueError, match="overlap"):     # a block holding row 0 of column 0 twice
-        _place([(0, 0, sp.csc_matrix((np.ones(2), np.array([0, 0]), np.array([0, 2])), shape=(2, 1)))], (2, 1))
 
 
 def test_from_triplets_rejects_non_integral_indices():
@@ -286,12 +282,21 @@ def test_from_triplets_matches_scipy_coo(n_rows, n_cols, data):
     _assert_same_csc(SparseMat.from_triplets(rows, cols, vals, (n_rows, n_cols)), _canonical(ref.tocsc()))
 
 
-@given(st.integers(0, 8), st.integers(0, 8), st.data())
-@settings(max_examples=150, deadline=None)
-def test_place_matches_scipy_coo(n_rows, n_cols, data):
-    # one block or none in each cell of a random grid, so blocks never overlap
-    cuts = [sorted(data.draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3)) | {0, n}) if n else [0]
-            for n in (n_rows, n_cols)]
+def _package_block(b, as_arrays):
+    """b as a block for ``_place``: a SparseMat, or its canonical CSC arrays as a ``_Csc``."""
+    m = SparseMat(b)
+    return _Csc(m._m.data, m._m.indices, m._m.indptr, m.shape) if as_arrays else m
+
+
+@given(st.integers(0, 8), st.integers(0, 10), st.sampled_from(["grid", "column-disjoint"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_place_matches_scipy_coo(n_rows, n_cols, layout, data):
+    # one block or none in each cell of a random grid, so blocks never overlap; a
+    # column-disjoint layout cuts only the columns, so no two blocks share a column, as in
+    # hcat, blkdiag and the G of unroll and generalized_intersection
+    n_cuts = (3, 3) if layout == "grid" else (0, 4)
+    cuts = [sorted(data.draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=k)) | {0, n}) if n else [0]
+            for n, k in zip((n_rows, n_cols), n_cuts)]
     groups = {"blocks": [], "negated": [], "transposed": []}
     for r0, r1 in zip(cuts[0], cuts[0][1:]):
         for c0, c1 in zip(cuts[1], cuts[1][1:]):
@@ -306,8 +311,9 @@ def test_place_matches_scipy_coo(n_rows, n_cols, data):
     rows = np.concatenate([np.zeros(0, int)] + [m.row + r for (r, _, _), m in zip(placed, coos)])
     cols = np.concatenate([np.zeros(0, int)] + [m.col + c for (_, c, _), m in zip(placed, coos)])
     ref = sp.coo_matrix((np.concatenate([[]] + [m.data for m in coos]), (rows, cols)), shape=(n_rows, n_cols))
-    _assert_same_csc(_place(groups["blocks"], (n_rows, n_cols), negated=groups["negated"],
-                            transposed=groups["transposed"]), _canonical(ref.tocsc()))
+    package = {g: [(r, c, _package_block(b, data.draw(st.booleans()))) for r, c, b in groups[g]] for g in groups}
+    _assert_same_csc(_place(package["blocks"], (n_rows, n_cols), negated=package["negated"],
+                            transposed=package["transposed"]), _canonical(ref.tocsc()))
 
 
 @given(st.integers(0, 4), st.data())
@@ -571,18 +577,18 @@ def test_from_triplets_sums_duplicates_and_drops_zeros():
 
 
 def test_place_skips_empty_blocks():
-    block = sp.csc_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
-    blocks = [(0, 0, SparseMat.zeros(2, 2)), (1, 2, block), (0, 4, sp.coo_matrix((3, 1))),
-              (2, 0, sp.csr_matrix((1, 2)))]
+    block = SparseMat([[1.0, 0.0], [2.0, 3.0]])
+    blocks = [(0, 0, SparseMat.zeros(2, 2)), (1, 2, block), (0, 4, SparseMat.zeros(3, 1)),
+              (2, 0, _package_block(SparseMat.zeros(1, 2), as_arrays=True))]
     m = _place(blocks, (3, 5))
     _assert_canonical(m)
     _assert_owns(m, block)
-    block.data[:] = 7.0
+    block._m.data[:] = 7.0
     expect = np.zeros((3, 5))
     expect[1:, 2:4] = [[1.0, 0.0], [2.0, 3.0]]
     assert np.array_equal(m.toarray(), expect)
     # blocks without entries only: the zero matrix, as from an empty list
-    for blocks in ([(0, 0, SparseMat.zeros(2, 2)), (1, 1, sp.coo_matrix((1, 2)))], []):
+    for blocks in ([(0, 0, SparseMat.zeros(2, 2)), (1, 1, SparseMat.zeros(1, 2))], []):
         z = _place(blocks, (3, 3))
         _assert_canonical(z)
         assert z.shape == (3, 3) and z.nnz == 0 and np.array_equal(z._m.indptr, np.zeros(4))
@@ -642,6 +648,15 @@ def test_is_symmetric_matches_definition():
     tiny_one_sided = SparseMat.from_triplets([0, 1], [1, 1], [1e-20, 2.0], (3, 3))
     cases = [(exact, True), (rounded, True), (one_sided, False), (tiny_one_sided, True),
              (SparseMat(np.ones((2, 3))), False), (SparseMat.zeros(0, 0), True)]
+    # M - M^T cancels exactly, leaving no entry to compare
+    cases += [(SparseMat(np.diag([1.0, -2.0, 3.0])), True), (SparseMat(np.array([[1.0, 0.5], [0.5, 0.0]])), True)]
+    # gaps one ulp either side of the tolerance, with max|M| = 2: (0, 1) holds g and (1, 0) 2g
+    # on the symmetric pattern, and only (1, 0) holds g on the asymmetric one; both differences
+    # are exactly g
+    tol = 1e-12 * (1.0 + 2.0)
+    for g, want in ((tol, True), (np.nextafter(tol, 0.0), True), (np.nextafter(tol, 1.0), False)):
+        cases += [(SparseMat.from_triplets([0, 0, 1], [0, 1, 0], [2.0, g, 2.0 * g], (2, 2)), want),
+                  (SparseMat.from_triplets([0, 1], [0, 0], [2.0, g], (2, 2)), want)]
     for m, want in cases:
         assert m.is_symmetric() is want
         assert _symmetric_by_definition(m) is want
@@ -992,46 +1007,12 @@ def test_last_rows_match_scipy_row_slice(data):
     _assert_same_arrays(_last_rows(a, n), a[a.shape[0] - n:])
 
 
-# ---------------------------------------------------------------------------
-# _place: the column-disjoint path and the general path write the same arrays
-
-
-@given(st.integers(0, 8), st.integers(1, 10), st.data())
-@settings(max_examples=200, deadline=None)
-def test_column_and_row_paths_write_the_same_arrays(n_rows, n_cols, data):
-    cuts = sorted(data.draw(st.sets(st.integers(1, n_cols - 1), max_size=4)) | {0, n_cols}) if n_cols > 1 \
-        else [0, n_cols]
-    placed = []
-    for c0, c1 in zip(cuts, cuts[1:]):
-        if data.draw(st.booleans()):
-            h, w = data.draw(st.integers(0, n_rows)), data.draw(st.integers(1, c1 - c0))
-            block = data.draw(_raw_blocks(h, w, unique=True))
-            sign = data.draw(st.sampled_from([1.0, -1.0]))
-            placed.append((data.draw(st.integers(0, n_rows - h)), data.draw(st.integers(c0, c1 - w)),
-                           _block(block), sign))
-    placed = [p for p in placed if len(p[2].indices)]
-    if not placed:
-        return
-    by_col = _place_columns(sorted(placed, key=operator.itemgetter(1)), (n_rows, n_cols))
-    by_row = _place_rows(sorted(placed, key=operator.itemgetter(0)), (n_rows, n_cols))
-    _assert_same_arrays(by_col, by_row)
-    blocks = [(r, c, SparseMat(sp.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)))
-              for r, c, m, s in placed if s > 0]
-    negated = [(r, c, SparseMat(sp.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)))
-               for r, c, m, s in placed if s < 0]
-    _assert_same_csc(_place(blocks, (n_rows, n_cols), negated=negated), _canonical(_csc_of(by_row)))
-
-
-def _csc_of(arrays):
-    return sp.csc_matrix((arrays.data, arrays.indices, arrays.indptr), shape=arrays.shape)
-
-
-def test_place_errors_keep_their_messages_on_both_paths():
+def test_place_errors_keep_their_messages():
     eye, col = SparseMat.eye(2), SparseMat([[1.0], [0.0], [1.0]])
     out_of_range = "a block of shape (2, 2) at (1, 0) is out of range for shape (2, 3)"
-    with pytest.raises(ValueError, match=re.escape(out_of_range)):      # column-disjoint layout
+    with pytest.raises(ValueError, match=re.escape(out_of_range)):      # blocks in separate columns
         _place([(0, 2, SparseMat.eye(1)), (1, 0, eye)], (2, 3))
-    with pytest.raises(ValueError, match=re.escape(out_of_range)):      # interleaving layout
+    with pytest.raises(ValueError, match=re.escape(out_of_range)):      # blocks sharing a column
         _place([(0, 0, SparseMat.eye(1)), (1, 0, eye)], (2, 3))
     with pytest.raises(ValueError, match=re.escape("a block of shape (2, 3) at (0, 1) is out of range "
                                                    "for shape (3, 3)")):   # shape as transposed
@@ -1040,7 +1021,8 @@ def test_place_errors_keep_their_messages_on_both_paths():
     for blocks in ([(0, 0, eye), (1, 1, eye)], [(0, 0, col), (1, 0, SparseMat([[1.0]]))]):
         with pytest.raises(ValueError, match=re.escape(overlap)):
             _place(blocks, (3, 3))
-    twice = sp.csc_matrix((np.ones(2), np.array([0, 0]), np.array([0, 2])), shape=(2, 1))
+    # arrays holding row 0 of column 0 twice, alone and beside or above another block
+    twice = _Csc(np.ones(2), np.array([0, 0], dtype=np.int32), np.array([0, 2], dtype=np.int32), (2, 1))
     for shape, blocks in (((2, 1), [(0, 0, twice)]), ((2, 2), [(0, 0, twice), (0, 1, SparseMat.eye(1))]),
                           ((3, 1), [(0, 0, twice), (2, 0, SparseMat.eye(1))])):
         with pytest.raises(ValueError, match=re.escape(overlap)):
