@@ -649,7 +649,8 @@ def test_is_symmetric_matches_definition():
     cases = [(exact, True), (rounded, True), (one_sided, False), (tiny_one_sided, True),
              (SparseMat(np.ones((2, 3))), False), (SparseMat.zeros(0, 0), True)]
     # M - M^T cancels exactly, leaving no entry to compare
-    cases += [(SparseMat(np.diag([1.0, -2.0, 3.0])), True), (SparseMat(np.array([[1.0, 0.5], [0.5, 0.0]])), True)]
+    cases += [(SparseMat(np.diag([1.0, -2.0, 3.0])), True),
+              (SparseMat(np.array([[1.0, 0.5], [0.5, 0.0]])), True)]
     # gaps one ulp either side of the tolerance, with max|M| = 2: (0, 1) holds g and (1, 0) 2g
     # on the symmetric pattern, and only (1, 0) holds g on the asymmetric one; both differences
     # are exactly g
