@@ -33,6 +33,7 @@ from .sparse import (
     _diagonal,
     _matmul,
     _place,
+    _rows,
     _transpose,
     ldlt_factorize,
     ldlt_solve,
@@ -344,7 +345,7 @@ def _without_empty_rows(Z: ConZono):
         return Z
     if np.any(Z.b[empty] != 0.0):
         return None
-    return ConZono._of_checked(Z.G, Z.c, SparseMat(Z.A._m[~empty]), Z.b[~empty])
+    return ConZono._of_checked(Z.G, Z.c, SparseMat(_rows(Z.A._m, ~empty)), Z.b[~empty])
 
 
 def check_empty(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> AdmmResult:

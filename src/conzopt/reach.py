@@ -35,10 +35,10 @@ from .sparse import (
     SparseMat,
     _column_ranges,
     _count,
-    _last_rows,
     _matmul,
     _place,
     _place_csc,
+    _rows,
     blkdiag,
     hcat,
     vcat,
@@ -113,7 +113,7 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     A_blocks, neg_blocks, pin_at, fm_G = [(0, 0, Z0.A)], [], [], {}  # (row, col, block)s; F_m M.G by id
     pin_c = []                                    # per step (t, x_c, c_M, c_S) for the pin rhs
     n_rows, n_cols = Z0.n_c, Z0.n_g
-    x_G, x_c, x_col = _last_rows(Z0.G._m, n_x), Z0.c[Z0.dim - n_x:], 0
+    x_G, x_c, x_col = _rows(Z0.G._m, np.arange(Z0.dim) >= Z0.dim - n_x), Z0.c[Z0.dim - n_x:], 0
     for M, S, t in steps:
         if (M.dim, S.dim, len(t)) != (F_m.shape[1], n_x, n_x):
             raise ValueError(f"step sets and target of dimensions {(M.dim, S.dim, len(t))} "
@@ -164,7 +164,8 @@ def _pin_rhs(F_x, F_m, pin_c):
 
 def _last_block(Z: ConZono, n) -> ConZono:
     """Projection of Z onto its last n coordinates."""
-    return ConZono._of_checked(SparseMat(_last_rows(Z.G._m, n)), Z.c[Z.dim - n:].copy(), Z.A, Z.b)
+    last = np.arange(Z.dim) >= Z.dim - n
+    return ConZono._of_checked(SparseMat(_rows(Z.G._m, last)), Z.c[Z.dim - n:].copy(), Z.A, Z.b)
 
 
 def reach_standard(X0: ConZono, sys: LinearSystem, N):

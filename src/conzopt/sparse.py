@@ -6,11 +6,12 @@ concatenation, block diagonals, block assembly), and an LDLT
 factorization in natural order for symmetric quasi-definite systems.
 Its back-solve is compiled: two SuperLU triangular solves with L.
 
-``SparseMat`` is the one place a matrix is canonicalized: construction
-makes at most one copy of its input and sums duplicates and drops
-explicit zeros in place. Code inside the package composes the stored
-scipy matrices (``SparseMat._m``, never mutated) and wraps only the
-result, so each matrix it returns is built once.
+A matrix is its own CSC arrays (``SparseMat._m``, a ``_Csc``, never
+mutated), canonicalized in one place: construction copies input from
+outside the package once, sums its duplicates and drops explicit zeros.
+Code inside the package composes the stored arrays and wraps only the
+result, so each matrix it returns is built once. Besides outside input,
+only ``tocsc`` builds a scipy matrix: for ``toarray`` and ``LdltFactor``.
 
 Every matrix the package assembles from pieces, in this module or any
 other, is written by ``_place`` from non-overlapping blocks (or by
@@ -26,10 +27,10 @@ dtypes without its Python wrappers: ``multiply`` and every product inside
 the package go through ``_matmul``, every sum (P~ + rho I, A - B K and
 ``is_symmetric``'s M - M^T) through ``_add``, ``matvec`` and ``rmatvec``
 through ``_matvec``, and ``.T`` and ``is_symmetric`` through
-``_transpose``; ``_last_rows`` slices a row range off the CSC arrays. The
-arrays ``_place`` and these kernels write, and those of ``zeros``, ``eye``,
-a negation, a dense input and the factor L, reach the constructor as a
-``_Csc``, which it takes without a copy or scipy's validating constructor.
+``_transpose``; ``_rows`` selects rows off the CSC arrays. The arrays
+``_place`` and these kernels write, and those of ``zeros``, ``eye``, a
+negation, a dense input and the factor L, reach the constructor as a
+``_Csc``, which it takes without a copy after one check of their order.
 
 ``ldlt_factorize`` reads the upper triangle off the sorted columns of M
 and writes L's unit diagonal into the factor's arrays, and
@@ -101,17 +102,25 @@ class SparseMat:
         else:
             # the one copy: arrays built for this matrix (a _Csc) are taken as they are
             if type(data) is _Csc:
-                m = _csc(*data)
-            elif not sp.issparse(data):
+                m = data
+            elif sp.issparse(data):
+                s = sp.csc_matrix(data, dtype=float, copy=True)
+                s.sum_duplicates()
+                m = _Csc(s.data, s.indices, s.indptr, s.shape)
+            else:
                 data = np.atleast_2d(np.asarray(data, dtype=float))
+                if data.ndim > 2:
+                    raise ValueError(f"dense input of shape {data.shape} is not 2-D")
                 if shape is not None and data.size == 0:
                     data = data.reshape(shape)
-                m = _csc(*_dense_csc(data))
-            else:
-                m = sp.csc_matrix(data, dtype=float, copy=True)
-            m.sum_duplicates()
-            if not m.data.all():
-                m.eliminate_zeros()
+                m = _dense_csc(data)
+            if not csr_has_canonical_format(m.shape[1], m.indptr, m.indices):
+                raise ValueError("CSC arrays with an unsorted column or an entry stored twice")
+            if not m.data.all():        # an L factor's cancellations, eye(n, 0.0), zeros from outside
+                nonzero = m.data != 0.0
+                kept = np.zeros(len(nonzero) + 1, dtype=m.indptr.dtype)
+                np.cumsum(nonzero, out=kept[1:])
+                m = _Csc(m.data[nonzero], m.indices[nonzero], kept[m.indptr], m.shape)
         if shape is not None and m.shape != tuple(shape):
             raise ValueError(f"data of shape {m.shape} does not match requested shape {tuple(shape)}")
         object.__setattr__(self, "_m", m)
@@ -157,14 +166,15 @@ class SparseMat:
 
     @property
     def nnz(self):
-        return int(self._m.nnz)
+        return len(self._m.data)
 
     def tocsc(self):
-        """Copy of the underlying scipy CSC matrix."""
-        return self._m.copy()
+        """A scipy CSC matrix on a copy of the arrays, the only one built from package arrays."""
+        m = self._m
+        return sp.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape, copy=True)
 
     def toarray(self):
-        return self._m.toarray()
+        return self.tocsc().toarray()
 
     def triplets(self):
         """(row, col, value) triplets in column-major order, read off the CSC arrays."""
@@ -261,16 +271,16 @@ def _transpose(m):
     return _Csc(data, indices, indptr, (n_cols, n_rows))
 
 
-def _last_rows(m, n):
-    """The last n rows of a CSC matrix m (scipy or ``_Csc``) as CSC arrays, a ``_Csc``; each
-    column keeps its stored order."""
-    n_rows, n_cols = m.shape
-    keep = m.indices >= n_rows - n
-    indices = m.indices[keep] - (n_rows - n)
-    idx = _index_dtype(n, n_cols, len(indices))
-    kept = np.zeros(len(keep) + 1, dtype=idx)    # kept entries before each slot
-    np.cumsum(keep, out=kept[1:])
-    return _Csc(m.data[keep], indices.astype(idx, copy=False), kept[m.indptr], (n, n_cols))
+def _rows(m, keep):
+    """The rows of a CSC matrix m (scipy or ``_Csc``) where the boolean array keep holds, as
+    CSC arrays, a ``_Csc``: the arrays of scipy's ``m[keep]``, each column in its stored order."""
+    entries = keep[m.indices]
+    shape = (int(np.count_nonzero(keep)), m.shape[1])
+    indices = (np.cumsum(keep) - 1)[m.indices[entries]]       # each kept row's new index
+    idx = _index_dtype(*shape, len(indices))
+    kept = np.zeros(len(entries) + 1, dtype=idx)              # kept entries before each slot
+    np.cumsum(entries, out=kept[1:])
+    return _Csc(m.data[entries], indices.astype(idx), kept[m.indptr], shape)
 
 
 def _matvec(m, x, shape, kernel, kernels):
@@ -383,29 +393,16 @@ def _column_ranges(m, widths):
 
 
 class _Csc(NamedTuple):
-    """CSC arrays built for one new matrix, which takes them without a copy or a check:
-    ``indptr`` runs from 0 to ``len(indices)``, every index lies inside ``shape``,
-    and no other object holds the arrays. Duplicates and zeros may remain, except in a
-    block given to ``_place``, whose columns are sorted with no entry twice. (A
+    """A matrix's CSC arrays (``SparseMat._m``), or those built for one new matrix, which
+    takes them without a copy: ``indptr`` runs from 0 to ``len(indices)`` in their dtype,
+    every index lies inside ``shape``, each column is sorted with no entry twice, explicit
+    zeros may remain, and no other object holds the arrays, never mutated once wrapped. (A
     ``_column_ranges`` view, read only by ``_place``, shares its matrix's arrays.)"""
 
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple
-
-
-# what scipy's constructor sets on a CSC matrix besides its arrays and shape, read off a
-# checked one; its cached format flags are left out, so each matrix finds its own
-_ATTRS = {k: v for k, v in vars(sp.csc_matrix((0, 0))).items()
-          if k not in ("data", "indices", "indptr", "_shape") and not k.startswith("_has_")}
-
-
-def _csc(data, indices, indptr, shape):
-    """scipy CSC matrix on the given arrays, made without scipy's validating constructor."""
-    m = sp.csc_matrix.__new__(sp.csc_matrix)
-    vars(m).update(_ATTRS, _shape=shape, data=data, indices=indices, indptr=indptr)
-    return m
 
 
 def _count(value, name, minimum=0):
@@ -481,7 +478,7 @@ class LdltFactor:
 
     L is unit lower triangular with its unit diagonal stored, D holds the
     mixed-sign pivots: M = L D L^T. The back-solve reads L through SuperLU,
-    built once from L in natural order without pivoting, which reproduces
+    built once from ``L.tocsc()`` in natural order without pivoting, which reproduces
     L with U = I; each column of a right-hand side is solved the same way
     whatever the number of columns. The SuperLU object is kept rather than
     calling ``spsolve_triangular`` per solve: in scipy 1.17.1 that function's
@@ -497,7 +494,7 @@ class LdltFactor:
         object.__setattr__(self, "n", L.n_rows)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "_tri", splu(L._m, permc_spec="NATURAL", diag_pivot_thresh=0.0))
+        object.__setattr__(self, "_tri", splu(L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0))
 
     def __setattr__(self, name, value):
         raise AttributeError("LdltFactor is immutable")

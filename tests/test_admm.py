@@ -620,6 +620,24 @@ def test_support_drops_empty_rows_with_a_zero_rhs():
     assert np.allclose([box.lo, box.hi], [[1.0, 3.0], [2.0, 3.0]], atol=1e-4)
 
 
+def test_empty_rows_are_dropped_exactly():
+    # constraint rows that store no entry, first, inside and last, each with b_i = 0: check_empty
+    # and support_batch see the set that never had them, bit for bit; with every row empty,
+    # the set that has no constraints
+    rng = np.random.default_rng(3)
+    G, c, dirs = SparseMat(rng.normal(size=(2, 5))), np.array([0.5, -1.0]), rng.normal(size=(2, 4))
+    A = np.zeros((6, 5))
+    A[[1, 2, 4]] = rng.normal(size=(3, 5))
+    b = A @ rng.uniform(-0.5, 0.5, size=5)
+    cases = [(ConZono(G, c, SparseMat(A), b), ConZono(G, c, SparseMat(A[[1, 2, 4]]), b[[1, 2, 4]])),
+             (ConZono(G, c, SparseMat.zeros(3, 5), np.zeros(3)), ConZono(G, c))]
+    for Z, ref in cases:
+        got, want = check_empty(Z), check_empty(ref)
+        assert got.status == want.status == "converged" and got.iterations == want.iterations
+        np.testing.assert_array_equal(got.x_star, want.x_star)
+        np.testing.assert_array_equal(support_batch(Z, dirs), support_batch(ref, dirs))
+
+
 def test_dependent_rows_that_are_not_empty_raise_rank_error():
     # equal generator rows: pinning a point repeats a constraint row
     Z = ConZono(SparseMat([[1.0, 0.5], [1.0, 0.5]]), np.zeros(2))

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conzopt.sparse
 from conzopt import (
     ConZono,
     IntervalBox,
@@ -20,6 +21,7 @@ from conzopt import (
     blkdiag,
     build_mhe,
     build_mpc,
+    check_empty,
     generalized_intersection,
     hcat,
     interval_to_zono,
@@ -32,14 +34,16 @@ from conzopt import (
     vcat,
 )
 from conzopt.admm import ReducedQp
+from conzopt.builders import SAFETY_SETTINGS
+from conzopt.reach import _last_block
 from conzopt.scenarios import corridor_mpc_scenario, mhe_scenario, safety_scenario
 from conzopt.sparse import (
     _Csc,
     _add,
     _count,
-    _last_rows,
     _matmul,
     _place,
+    _rows,
     _symbolic,
     _symbolic_cache,
     _transpose,
@@ -84,6 +88,18 @@ def test_multiply_dimension_mismatch_names_shapes():
     b = SparseMat(np.ones((2, 3)))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
         multiply(a, b)
+
+
+def test_constructor_rejects_what_it_cannot_read():
+    # dense input above 2-D names its shape instead of failing inside the CSC conversion
+    for shape in ((2, 2, 2), (1, 3, 1, 2)):
+        with pytest.raises(ValueError, match=rf"^dense input of shape {re.escape(str(shape))} is not 2-D$"):
+            SparseMat(np.ones(shape))
+    # package arrays are taken without a copy only when each column is sorted with no entry twice
+    indptr = np.array([0, 2, 2], dtype=np.int32)
+    for indices in ([1, 0], [1, 1]):
+        with pytest.raises(ValueError, match="unsorted column or an entry stored twice"):
+            SparseMat(_Csc(np.ones(2), np.array(indices, dtype=np.int32), indptr, (2, 2)))
 
 
 def test_concat_dimension_errors():
@@ -534,25 +550,22 @@ def test_factor_keeps_cancellation_structurally():
 def _arrays(m):
     if isinstance(m, SparseMat):
         m = m._m
-    if sp.issparse(m):
-        return [m.data, m.indices, m.indptr] if m.format in ("csc", "csr") else [m.data, m.row, m.col]
-    return [np.asarray(m)]
+    if type(m) is _Csc or sp.issparse(m) and m.format in ("csc", "csr"):
+        return [m.data, m.indices, m.indptr]
+    return [m.data, m.row, m.col] if sp.issparse(m) else [np.asarray(m)]
 
 
 def _assert_canonical(m):
-    """Sorted, summed and zero-free CSC with int32 indices, its format flags true to its arrays."""
+    """Sorted, summed and zero-free CSC arrays with int32 indices, which scipy's full format
+    check accepts."""
     c = m._m
-    assert type(c) is sp.csc_matrix and c.data.dtype == np.float64
+    assert type(c) is _Csc and c.data.dtype == np.float64
     assert c.indices.dtype == c.indptr.dtype == np.int32
     assert c.indptr[0] == 0 and len(c.indices) == len(c.data) == c.indptr[-1]
-    c.check_format(full_check=True)
+    m.tocsc().check_format(full_check=True)
     assert c.data.all()
     col = np.repeat(np.arange(c.shape[1]), np.diff(c.indptr))
     assert np.all((np.diff(col) > 0) | (np.diff(c.indices) > 0))   # strictly increasing rows per column
-    fresh = sp.csc_matrix((c.data, c.indices, c.indptr), shape=c.shape)
-    for flag in ("has_sorted_indices", "has_canonical_format"):
-        cached = vars(c).get("_" + flag)
-        assert cached is None or cached == getattr(fresh, flag)
 
 
 def _assert_owns(m, *inputs):
@@ -630,7 +643,7 @@ def test_products_and_stacks_are_canonical_and_owned():
 def _symmetric_by_definition(m, rel_tol=1e-12):
     if m.n_rows != m.n_cols:
         return False
-    diff = m._m - m._m.T
+    diff = m.tocsc() - m.tocsc().T
     return diff.nnz == 0 or float(np.max(np.abs(diff.data))) <= rel_tol * (1.0 + m.max_abs())
 
 
@@ -690,12 +703,34 @@ def _digest(*arrays):
 def _safety_clash(steps=5):
     """The safety scenario's tube after a few closed-loop steps, intersected with the obstacle."""
     sc = safety_scenario(n_steps=steps)
-    a_closed, n_x, X = SparseMat(sc.sys.A._m - sc.sys.B._m @ sc.K._m), sc.sys.n_x, sc.X0
+    a_closed, n_x, X = SparseMat(sc.sys.A.tocsc() - sc.sys.B.tocsc() @ sc.K.tocsc()), sc.sys.n_x, sc.X0
     for k in range(steps):
         u_ff = sc.K.matvec(sc.x_refs[k])
         Z = unroll(X, a_closed, SparseMat.eye(n_x), [(sc.W, sc.sys.S, -sc.sys.B.matvec(u_ff))])
-        X = ConZono(SparseMat(Z.G._m[Z.dim - n_x:]), Z.c[Z.dim - n_x:], Z.A, Z.b)
+        X = ConZono(SparseMat(Z.G.tocsc()[Z.dim - n_x:]), Z.c[Z.dim - n_x:], Z.A, Z.b)
     return generalized_intersection(X, sc.O, sc.R_map)
+
+
+def test_a_clash_check_builds_one_scipy_matrix_the_superlu_input(monkeypatch):
+    # one safety-cert step (the tube step, the clash set, its emptiness check) keeps every
+    # matrix as CSC arrays; the only scipy matrix is the one SuperLU factors
+    sc = safety_scenario(n_steps=1)
+    bk = multiply(sc.sys.B, sc.K)
+    a_closed, n_x = SparseMat(_add(sc.sys.A._m, (-bk)._m)), sc.sys.n_x
+    built, factored = [], []
+
+    def new(cls, *args, **kwargs):
+        built.append(object.__new__(cls))
+        return built[-1]
+
+    for name in ("csc_matrix", "csr_matrix", "coo_matrix"):
+        monkeypatch.setattr(sp, name, type(name, (getattr(sp, name),), {"__new__": new}))
+    splu = conzopt.sparse.splu
+    monkeypatch.setattr(conzopt.sparse, "splu", lambda m, **kw: factored.append(m) or splu(m, **kw))
+    u_ff = sc.K.matvec(sc.x_refs[0])
+    X = _last_block(unroll(sc.X0, a_closed, SparseMat.eye(n_x), [(sc.W, sc.sys.S, -sc.sys.B.matvec(u_ff))]), n_x)
+    result = check_empty(generalized_intersection(X, sc.O, sc.R_map), SAFETY_SETTINGS)
+    assert result.iterations > 0 and len(built) == len(factored) == 1 and built[0] is factored[0]
 
 
 def _mhe_window_qp():
@@ -827,8 +862,7 @@ def test_symbolic_schedule_by_hand():
     # upper columns {0}, {1}, {0, 1, 2}, {0, 1, 3}: row 2 walks the paths [0] and [1],
     # row 3 walks [0, 2] and then [1], which stops at the already visited 2; each row
     # lists its later paths first
-    M = _dependent_rows_saddle()._m
-    upper = sp.triu(M, format="csc")
+    upper = sp.triu(_dependent_rows_saddle().tocsc(), format="csc")
     _symbolic_cache.clear()
     Lp, schedule, row_ptr = _symbolic(4, upper.indptr.astype(np.int64), upper.indices.astype(np.int64))
     assert schedule.tolist() == [1, 0, 1, 0, 2]
@@ -990,7 +1024,7 @@ def test_sum_kernel_on_diagonal_shifts_and_shape_errors():
              for n, d in ((6, 0.9), (9, 0.3), (9, 0.05), (0, 0.0))]
     cases += [sp.diags([-0.75, 2.0, 0.0, 3.0], format="csc"), sp.csc_matrix(np.ones((3, 3)))]
     for s in cases:
-        m = SparseMat(s + s.T)._m
+        m = SparseMat(s + s.T).tocsc()
         shift = 1.5 * sp.identity(m.shape[0], format="csc")
         _assert_same_arrays(_add(m, shift), m + shift)
         _assert_same_csc(_place([(0, 0, _add(m, shift))], m.shape), _canonical(m + shift))
@@ -998,14 +1032,6 @@ def test_sum_kernel_on_diagonal_shifts_and_shape_errors():
     assert got.indptr.tolist() == [0, 0, 1] and got.data.tolist() == [3.5]   # (0, 0) cancels
     with pytest.raises(ValueError, match="cannot add"):
         _add(sp.csc_matrix((2, 3)), sp.csc_matrix((3, 2)))
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_last_rows_match_scipy_row_slice(data):
-    a = data.draw(_scipy_csc())
-    n = data.draw(st.integers(0, a.shape[0]))
-    _assert_same_arrays(_last_rows(a, n), a[a.shape[0] - n:])
 
 
 def test_place_errors_keep_their_messages():
@@ -1028,3 +1054,18 @@ def test_place_errors_keep_their_messages():
                           ((3, 1), [(0, 0, twice), (2, 0, SparseMat.eye(1))])):
         with pytest.raises(ValueError, match=re.escape(overlap)):
             _place(blocks, shape)
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rows_kernel_matches_scipy_row_indexing(raw, data):
+    # each column keeps its stored order, as in scipy's boolean row indexing; the last n
+    # rows, as a set's projection takes them, are also scipy's row slice
+    a = data.draw(_scipy_csc(raw=raw))
+    n_rows = a.shape[0]
+    n = data.draw(st.integers(0, n_rows))
+    last = np.arange(n_rows) >= n_rows - n
+    _assert_same_arrays(_rows(a, last), a[n_rows - n:])
+    drawn = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)), dtype=bool)
+    for keep in (np.zeros(n_rows, dtype=bool), np.ones(n_rows, dtype=bool), last, drawn):
+        _assert_same_arrays(_rows(a, keep), a[keep])
