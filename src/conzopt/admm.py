@@ -116,7 +116,7 @@ class ReducedQp:
 
     def __init__(self, Z, rho, q_tilde, h):
         n_g, n_c = Z.n_g, Z.n_c
-        M = _place([(0, 0, h), (n_g, 0, Z.A)], (n_g + n_c,) * 2, transposed=[(0, n_g, Z.A)])
+        M = _place([(0, 0, h), (n_g, 0, Z.A), (0, n_g, _transpose(Z.A._m))], (n_g + n_c,) * 2)
         try:
             factor_m = ldlt_factorize(M)
         except RankDeficiencyError as err:

@@ -19,7 +19,6 @@ for set-valued state estimation follow the same standard/sparse split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -33,10 +32,11 @@ from .sets import (
 )
 from .sparse import (
     SparseMat,
-    _column_ranges,
+    _add,
     _count,
+    _diagonal,
     _matmul,
-    _place,
+    _matvec,
     _place_csc,
     _rows,
     blkdiag,
@@ -97,69 +97,43 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     coordinates of Z0, x_k = s_k for k >= 1, and ``steps`` is a sequence
     of (M_k, S_k, t_k). The constraint rows come in the order of the
     step-by-step composition: those of Z0, then per step those of M_k,
-    of S_k and the pin rows. G and A are each placed once, with F_m G_M
-    computed once per distinct M_k.G and every step's F_x x_G a column range
-    of one product F_x [x_G_0 ... x_G_N-1], whose operand ``_place_csc``
-    writes. Only what is computed here is scanned for non-finite values:
-    the products with F_x and F_m, and the pin rows' rhs.
+    of S_k and the pin rows. Since x_{k-1}, m_k and s_k are adjacent in
+    the stack, the pin rows are those of one matrix W holding
+    [F_x F_m -I] at step k's pin rows and x_{k-1}'s first column: they
+    are W G next to the sets' constraint blocks, with rhs t - W c. Only
+    what is computed here is scanned for non-finite values: W G and the
+    pin rows' rhs.
     """
     n_x = F_x.shape[0]
-    if Z0.dim < n_x:
+    if F_x.shape[1] != n_x or Z0.dim < n_x:
         raise ValueError(f"cannot multiply {F_x.shape} by the last {n_x} coordinates "
                          f"of a set of dimension {Z0.dim}")
     if F_m.shape[0] != n_x:
         raise ValueError(f"maps of shapes {F_x.shape} and {F_m.shape} do not match")
-    parts, b_parts = [Z0], [Z0.b]                 # the stacked sets; the rhs pieces
-    A_blocks, neg_blocks, pin_at, fm_G = [(0, 0, Z0.A)], [], [], {}  # (row, col, block)s; F_m M.G by id
-    pin_c = []                                    # per step (t, x_c, c_M, c_S) for the pin rhs
-    n_rows, n_cols = Z0.n_c, Z0.n_g
-    x_G, x_c, x_col = _rows(Z0.G._m, np.arange(Z0.dim) >= Z0.dim - n_x), Z0.c[Z0.dim - n_x:], 0
+    pin = _place_csc([(0, 0, F_x), (0, n_x, F_m), (0, n_x + F_m.shape[1], _diagonal(n_x, -1.0))],
+                     (n_x, n_x + F_m.shape[1] + n_x))  # [F_x F_m -I]
+    parts, b_parts = [Z0], [Z0.b]                 # the stacked sets; the rhs pieces, t at the pin rows
+    A_blocks, W_blocks = [(0, 0, Z0.A)], []       # (row, col, block)s of the sets' constraints and of W
+    n_rows, n_cols, x_col = Z0.n_c, Z0.n_g, Z0.dim - n_x
     for M, S, t in steps:
         if (M.dim, S.dim, len(t)) != (F_m.shape[1], n_x, n_x):
             raise ValueError(f"step sets and target of dimensions {(M.dim, S.dim, len(t))} "
                              f"do not match {(F_m.shape[1], n_x, n_x)}")
-        if id(M.G) not in fm_G:
-            fm_G[id(M.G)] = _matmul(F_m._m, M.G._m)
-        s_col = n_cols + M.n_g
         pin_row = n_rows + M.n_c + S.n_c
-        A_blocks += [(n_rows, n_cols, M.A), (n_rows + M.n_c, s_col, S.A),
-                     (pin_row, n_cols, fm_G[id(M.G)])]
-        neg_blocks.append((pin_row, s_col, S.G))
-        pin_at.append((pin_row, x_col, x_G))
-        b_parts += [M.b, S.b, None]
-        pin_c.append((t, x_c, M.c, S.c))
+        A_blocks += [(n_rows, n_cols, M.A), (n_rows + M.n_c, n_cols + M.n_g, S.A)]
+        W_blocks.append((pin_row, x_col, pin))
+        b_parts += [M.b, S.b, t]
         parts += [M, S]
         n_rows = pin_row + n_x
-        n_cols = s_col + S.n_g
-        x_G, x_c, x_col = S.G, S.c, s_col
-
-    if pin_at:  # column range k of F_x [x_G_0 ... x_G_N-1] goes to step k's pin rows
-        pin_rows, x_cols, x_Gs = zip(*pin_at)
-        widths = [G.shape[1] for G in x_Gs]
-        x_G = _place_csc([(0, c, G) for c, G in zip(accumulate(widths, initial=0), x_Gs)], (n_x, sum(widths)))
-        F_x_G = _matmul(F_x._m, x_G)
-        for FG in (*fm_G.values(), F_x_G):
-            _check_finite("A", FG.data)
-        pin_b = _pin_rhs(F_x, F_m, pin_c)
-        _check_finite("b", pin_b)
-        b_parts[3::3] = pin_b
-        A_blocks += zip(pin_rows, x_cols, _column_ranges(F_x_G, widths))
-    return ConZono._of_checked(blkdiag(*[Z.G for Z in parts]), np.concatenate([Z.c for Z in parts]),
-                               _place(A_blocks, (n_rows, n_cols), negated=neg_blocks), np.concatenate(b_parts))
-
-
-def _pin_rhs(F_x, F_m, pin_c):
-    """t - [F_x F_m -I] [x_c; c_M; c_S] for each step's (t, x_c, c_M, c_S), as the rows of an array.
-
-    Each row adds its terms in the order a CSC matrix-vector product of
-    [F_x F_m -I] adds them: column by column, starting from zero.
-    """
-    t, x_c, c_M, c_S = (np.array(v, dtype=float) for v in zip(*pin_c))
-    y = np.zeros(t.shape)
-    for F, v in ((F_x._m, x_c), (F_m._m, c_M)):
-        for j, (p0, p1) in enumerate(zip(F.indptr[:-1], F.indptr[1:])):
-            y[:, F.indices[p0:p1]] += F.data[p0:p1] * v[:, j:j + 1]
-    return t - (y - c_S)
+        n_cols += M.n_g + S.n_g
+        x_col += n_x + M.dim
+    G, c = blkdiag(*[Z.G for Z in parts]), np.concatenate([Z.c for Z in parts])
+    W = _place_csc(W_blocks, (n_rows, len(c)))
+    WG = _matmul(W, G._m)
+    _check_finite("A", WG.data)
+    b = np.concatenate(b_parts) - _matvec(W, c)
+    _check_finite("b", b)
+    return ConZono._of_checked(G, c, SparseMat(_add(_place_csc(A_blocks, (n_rows, n_cols)), WG)), b)
 
 
 def _last_block(Z: ConZono, n) -> ConZono:

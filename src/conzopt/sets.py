@@ -179,8 +179,9 @@ def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
         raise ValueError(f"map with {n_rows} rows does not land in a set of dimension {Z2.dim}")
     n_g, n_c = Z1.n_g + Z2.n_g, Z1.n_c + Z2.n_c
     G = Z1.G if Z2.n_g == 0 else _place([(0, 0, Z1.G)], (Z1.dim, n_g))
-    A = _place([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A), (n_c, 0, RG1)], (n_c + n_rows, n_g),
-               negated=[(n_c, Z1.n_g, Z2.G)])
+    neg_G2 = Z2.G._m._replace(data=-Z2.G._m.data)
+    A = _place([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A), (n_c, 0, RG1), (n_c, Z1.n_g, neg_G2)],
+               (n_c + n_rows, n_g))
     rhs = Z2.c - Rc1
     if R is not None:
         _check_finite("A", RG1.data)
@@ -223,11 +224,16 @@ def make_regular_polygon(m, inradius, center=(0.0, 0.0)) -> ConZono:
 def zonotope_support(Z: ConZono, d):
     """Closed-form support of a zonotope: d^T c + ||G^T d||_1.
 
-    Only valid when the set has no constraint rows.
+    Only valid when the set has no constraint rows; d must be a finite
+    vector of the set's dimension (ValueError otherwise).
     """
     if Z.n_c != 0:
         raise ValueError("closed-form support applies to zonotopes only")
-    d = np.asarray(d, dtype=float)
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if d.shape != (Z.dim,):
+        raise ValueError(f"direction of shape {d.shape} does not match set dimension {Z.dim}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("direction has a non-finite entry")
     return float(d @ Z.c + np.sum(np.abs(Z.G.rmatvec(d))))
 
 
@@ -242,10 +248,13 @@ def rotation_uncertainty_zono(theta_meas, e_theta, body_box: IntervalBox) -> Con
     Rotates the box by the measured heading and adds an interval-derived
     error set covering every heading within +/- e_theta of the
     measurement, so the result contains the rotated box for any true
-    heading in that range.
+    heading in that range; e_theta = inf allows any heading. A non-finite
+    theta_meas, or an e_theta that is negative or NaN, raises ValueError.
     """
-    if e_theta < 0:
-        raise ValueError(f"heading uncertainty must be nonnegative, got {e_theta}")
+    if not np.isfinite(theta_meas):
+        raise ValueError(f"measured heading theta_meas must be finite, got {theta_meas}")
+    if not e_theta >= 0:
+        raise ValueError(f"heading uncertainty e_theta must be nonnegative, got {e_theta}")
     if len(body_box) != 2:
         raise ValueError(f"body-frame box must be planar, got length {len(body_box)}")
 

@@ -25,8 +25,8 @@ kernels of ``scipy.sparse._sparsetools`` that scipy's ``@``, ``+`` and
 ``tocsr`` run, on the same arrays, so they return scipy's values and index
 dtypes without its Python wrappers: ``multiply`` and every product inside
 the package go through ``_matmul``, every sum (P~ + rho I, A - B K and
-``is_symmetric``'s M - M^T) through ``_add``, ``matvec`` and ``rmatvec``
-through ``_matvec``, and ``.T`` and ``is_symmetric`` through
+``is_symmetric``'s M - M^T and ``unroll``'s A) through ``_add``, ``matvec``,
+``rmatvec`` and ``unroll``'s W c through ``_matvec``, and ``.T`` and ``is_symmetric`` through
 ``_transpose``; ``_rows`` selects rows off the CSC arrays. The arrays
 ``_place`` and these kernels write, and those of ``zeros``, ``eye``, a
 negation, a dense input and the factor L, reach the constructor as a
@@ -196,14 +196,13 @@ class SparseMat:
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.n_cols:
             raise ValueError(f"cannot multiply {self.shape} by vector of length {x.shape[0]}")
-        return _matvec(self._m, x, self.shape, csc_matvec, csc_matvecs)
+        return _matvec(self._m, x)
 
     def rmatvec(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.n_rows:
             raise ValueError(f"cannot multiply transpose of {self.shape} by vector of length {x.shape[0]}")
-        # A's CSC arrays are A^T's CSR arrays; entry j sums column j of A in stored order
-        return _matvec(self._m, x, self.shape[::-1], csr_matvec, csr_matvecs)
+        return _matvec(self._m, x, transpose=True)
 
     def max_abs(self):
         return float(np.max(np.abs(self._m.data))) if self.nnz else 0.0
@@ -283,33 +282,33 @@ def _rows(m, keep):
     return _Csc(m.data[entries], indices.astype(idx), kept[m.indptr], shape)
 
 
-def _matvec(m, x, shape, kernel, kernels):
-    """The product of a matrix of the given shape, whose CSC or CSR arrays m holds, with a
-    vector or the columns of a 2-D x, through scipy's compiled ``kernel`` (one vector) or
-    ``kernels`` (several): a 1-D x and a single column go through ``kernel`` as in
-    scipy's ``@``."""
-    n_out, n_in = shape
+def _matvec(m, x, transpose=False):
+    """The product of the CSC matrix m (scipy or ``_Csc``), or of its transpose, with a vector
+    or the columns of a 2-D x, through scipy's compiled kernels: a 1-D x and a single column go
+    through the one-vector kernel as in scipy's ``@``. m's CSC arrays are m^T's CSR arrays, so
+    entry j of m^T x sums column j of m in stored order."""
+    n_out, n_in = m.shape[::-1] if transpose else m.shape
+    kernel, kernels = (csr_matvec, csr_matvecs) if transpose else (csc_matvec, csc_matvecs)
     if x.ndim == 2 and x.shape[1] != 1:
         y = np.zeros((n_out, x.shape[1]))
         kernels(n_out, n_in, x.shape[1], m.indptr, m.indices, m.data, x.ravel(), y.ravel())
         return y
     if x.ndim > 2:
-        raise ValueError(f"cannot multiply {shape} by an array of {x.ndim} dimensions")
+        raise ValueError(f"cannot multiply {(n_out, n_in)} by an array of {x.ndim} dimensions")
     y = np.zeros(n_out)
     kernel(n_out, n_in, m.indptr, m.indices, m.data, x.ravel(), y)
     return y if x.ndim == 1 else y.reshape(n_out, 1)
 
 
-def _place(blocks, shape, negated=(), transposed=()):
-    """Matrix of the given shape holding each (row, col, block) at that offset, each block
-    of ``negated`` times -1 and each of ``transposed`` transposed. Blocks are SparseMat or
-    ``_Csc`` arrays with sorted columns (a product's, a ``_column_ranges`` view). A block
+def _place(blocks, shape):
+    """Matrix of the given shape holding each (row, col, block) at that offset. Blocks are
+    SparseMat or ``_Csc`` arrays with sorted columns (a product's, a transpose's). A block
     outside the shape, or blocks whose entries collide or interleave in a column, raise
     ValueError."""
-    return SparseMat(_place_csc(blocks, shape, negated, transposed))
+    return SparseMat(_place_csc(blocks, shape))
 
 
-def _place_csc(blocks, shape, negated=(), transposed=()):
+def _place_csc(blocks, shape):
     """``_place``'s canonical CSC arrays as a ``_Csc``, for an operand that no SparseMat keeps.
 
     With the blocks in row-offset order, scipy's COO-to-CSR kernel on the transpose is a
@@ -317,16 +316,14 @@ def _place_csc(blocks, shape, negated=(), transposed=()):
     and any collision or interleaving shows as a column out of row order.
     """
     n_rows, n_cols = shape
-    placed = [(r, c, _block(m), 1.0) for r, c, m in blocks]
-    placed += [(r, c, _block(m), -1.0) for r, c, m in negated]
-    placed += [(r, c, _transpose(_block(m)), 1.0) for r, c, m in transposed]
-    for r, c, m, _ in placed:           # plain comparisons: offset arrays for numpy cost more
+    placed = [(r, c, _block(m)) for r, c, m in blocks]
+    for r, c, m in placed:              # plain comparisons: offset arrays for numpy cost more
         h, w = m.shape
         if r < 0 or c < 0 or r + h > n_rows or c + w > n_cols:
             raise ValueError(f"a block of shape {(h, w)} at ({r}, {c}) is out of range for shape {shape}")
     placed = sorted((p for p in placed if len(p[2].indices)), key=operator.itemgetter(0))
-    nnz = [len(m.indices) for _, _, m, _ in placed]
-    slots = [len(m.indptr) for _, _, m, _ in placed]
+    nnz = [len(m.indices) for _, _, m in placed]
+    slots = [len(m.indptr) for _, _, m in placed]
     total = sum(nnz)
     idx = _index_dtype(*shape, total)
     if not placed:
@@ -336,16 +333,14 @@ def _place_csc(blocks, shape, negated=(), transposed=()):
     # s - f + c of the result
     firsts = accumulate(slots[:-1], initial=0)
     shifts = np.repeat(np.array([list(accumulate(nnz[:-1], initial=0)),
-                                 [c - f for (_, c, _, _), f in zip(placed, firsts)]]), slots, axis=1)
-    ptr = np.concatenate([m.indptr for _, _, m, _ in placed]) + shifts[0]
+                                 [c - f for (_, c, _), f in zip(placed, firsts)]]), slots, axis=1)
+    ptr = np.concatenate([m.indptr for _, _, m in placed]) + shifts[0]
     slot_col = np.arange(len(ptr)) + shifts[1]
     col = np.repeat(slot_col[:-1], ptr[1:] - ptr[:-1]).astype(idx, copy=False)
-    row = np.concatenate([m.indices for _, _, m, _ in placed]).astype(idx, copy=False)
-    data = np.concatenate([m.data for _, _, m, _ in placed])
-    if any(r for r, _, _, _ in placed):
-        row += np.repeat(np.array([r for r, _, _, _ in placed], dtype=idx), nnz)
-    if any(s < 0 for _, _, _, s in placed):
-        data *= np.repeat(np.array([s for _, _, _, s in placed]), nnz)
+    row = np.concatenate([m.indices for _, _, m in placed]).astype(idx, copy=False)
+    data = np.concatenate([m.data for _, _, m in placed])
+    if any(r for r, _, _ in placed):
+        row += np.repeat(np.array([r for r, _, _ in placed], dtype=idx), nnz)
     indptr, indices, out = np.empty(n_cols + 1, dtype=idx), np.empty(total, dtype=idx), np.empty(total)
     coo_tocsr(n_cols, n_rows, total, col, row, data, indptr, indices, out)
     if not csr_has_canonical_format(n_cols, indptr, indices):
@@ -383,21 +378,12 @@ def _add(a, b):
     return _Csc(data, indices, indptr, (n_rows, n_cols))
 
 
-def _column_ranges(m, widths):
-    """Consecutive column ranges of a CSC matrix m with sorted columns (a ``_matmul``
-    product), as ``_Csc`` views of m's arrays for ``_place``."""
-    p = m.indptr
-    bounds = list(accumulate(widths, initial=0))
-    return [_Csc(m.data[p[a]:p[b]], m.indices[p[a]:p[b]], p[a:b + 1] - p[a], (m.shape[0], b - a))
-            for a, b in zip(bounds, bounds[1:])]
-
-
 class _Csc(NamedTuple):
     """A matrix's CSC arrays (``SparseMat._m``), or those built for one new matrix, which
     takes them without a copy: ``indptr`` runs from 0 to ``len(indices)`` in their dtype,
     every index lies inside ``shape``, each column is sorted with no entry twice, explicit
     zeros may remain, and no other object holds the arrays, never mutated once wrapped. (A
-    ``_column_ranges`` view, read only by ``_place``, shares its matrix's arrays.)"""
+    block read only by ``_place``, such as a negated G, may share a matrix's arrays.)"""
 
     data: np.ndarray
     indices: np.ndarray

@@ -327,6 +327,29 @@ def test_rotation_uncertainty_rejects_negative_error():
         rotation_uncertainty_zono(0.0, -0.1, IntervalBox([-1, -1], [1, 1]))
 
 
+def test_rotation_uncertainty_rejects_non_finite_inputs():
+    box = IntervalBox([-1.0, -0.5], [1.0, 0.5])
+    for theta in (np.inf, -np.inf, np.nan):     # inf used to warn in np.cos, then overflow
+        with pytest.raises(ValueError, match="theta_meas must be finite"):
+            rotation_uncertainty_zono(theta, 0.1, box)
+    with pytest.raises(ValueError, match="e_theta must be nonnegative, got nan"):
+        rotation_uncertainty_zono(0.4, np.nan, box)
+    # an infinite error allows any heading: the error box spans [-1, 1] in cos and sin
+    any_heading = rotation_uncertainty_zono(0.4, np.inf, box)
+    for d in ([1.0, 0.0], [0.0, -1.0], [0.6, 0.8]):
+        assert zonotope_support(any_heading, d) >= np.hypot(1.0, 0.5) - 1e-12
+
+
+def test_zonotope_support_rejects_bad_directions():
+    hexa = make_regular_polygon(6, 1.0)
+    for d in ([1.0], [1.0, 0.0, 0.0], [[1.0], [0.0]]):
+        with pytest.raises(ValueError, match="does not match set dimension 2"):
+            zonotope_support(hexa, d)
+    for d in ([np.nan, 0.0], [np.inf, 1.0]):     # NaN used to return nan
+        with pytest.raises(ValueError, match="non-finite"):
+            zonotope_support(hexa, d)
+
+
 def test_json_roundtrip_bit_stable(rng):
     Z = random_zonotope(rng, 3, 4)
     Zc = generalized_intersection(Z, affine_map(SparseMat.eye(3), Z, [0.1, 0.0, 0.0]))

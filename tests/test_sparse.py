@@ -120,8 +120,8 @@ def test_place_matches_coo_assembly():
     blocks = [(0, 0, csr), (3, 1, base.T), (1, 5, unsorted), (5, 6, zeros), (6, 0, SparseMat(base))]
     shape = (10, 9)
     flipped = sp.csc_matrix(np.array([[2.0], [0.0], [-1.0]]))
-    got = _place([(r, c, SparseMat(b)) for r, c, b in blocks], shape, negated=[(7, 4, SparseMat(negated))],
-                 transposed=[(9, 6, SparseMat(flipped))]).tocsc()
+    got = _place([(r, c, SparseMat(b)) for r, c, b in blocks]
+                 + [(7, 4, -SparseMat(negated)), (9, 6, SparseMat(flipped).T)], shape).tocsc()
     placed = blocks + [(7, 4, -negated), (9, 6, flipped.T)]
     coos = [_scipy(b).tocoo() for _, _, b in placed]
     ref = SparseMat(sp.coo_matrix((np.concatenate([m.data for m in coos]),
@@ -136,10 +136,6 @@ def test_place_matches_coo_assembly():
 def test_place_rejects_overlapping_blocks():
     with pytest.raises(ValueError, match="overlap"):     # both blocks hold an entry at (1, 1)
         _place([(0, 0, SparseMat.eye(2)), (1, 1, SparseMat.eye(2))], (3, 3))
-    with pytest.raises(ValueError, match="overlap"):     # the same, through a negated block
-        _place([(0, 0, SparseMat.eye(2))], (3, 3), negated=[(1, 1, SparseMat.eye(2))])
-    with pytest.raises(ValueError, match="overlap"):     # and through a transposed one
-        _place([(0, 0, SparseMat.eye(2))], (3, 3), transposed=[(1, 1, SparseMat.eye(2))])
     with pytest.raises(ValueError, match="overlap"):     # rows 0 and 2 from one block, row 1 from another
         _place([(0, 0, SparseMat([[1.0], [0.0], [1.0]])), (1, 0, SparseMat([[1.0]]))], (3, 1))
 
@@ -298,10 +294,16 @@ def test_from_triplets_matches_scipy_coo(n_rows, n_cols, data):
     _assert_same_csc(SparseMat.from_triplets(rows, cols, vals, (n_rows, n_cols)), _canonical(ref.tocsc()))
 
 
-def _package_block(b, as_arrays):
-    """b as a block for ``_place``: a SparseMat, or its canonical CSC arrays as a ``_Csc``."""
-    m = SparseMat(b)
-    return _Csc(m._m.data, m._m.indices, m._m.indptr, m.shape) if as_arrays else m
+def _package_block(b, as_arrays, group="blocks"):
+    """b as a block for ``_place``: a SparseMat, or its canonical CSC arrays as a ``_Csc``; a
+    "negated" b negated by its data, as ``generalized_intersection`` passes -G2, and a
+    "transposed" one through ``_transpose``, as ``ReducedQp`` passes A^T."""
+    m = SparseMat(b)._m
+    if group == "negated":
+        m = m._replace(data=-m.data)
+    elif group == "transposed":
+        m = _transpose(m)
+    return m if as_arrays else SparseMat(m)
 
 
 @given(st.integers(0, 8), st.integers(0, 10), st.sampled_from(["grid", "column-disjoint"]), st.data())
@@ -327,9 +329,8 @@ def test_place_matches_scipy_coo(n_rows, n_cols, layout, data):
     rows = np.concatenate([np.zeros(0, int)] + [m.row + r for (r, _, _), m in zip(placed, coos)])
     cols = np.concatenate([np.zeros(0, int)] + [m.col + c for (_, c, _), m in zip(placed, coos)])
     ref = sp.coo_matrix((np.concatenate([[]] + [m.data for m in coos]), (rows, cols)), shape=(n_rows, n_cols))
-    package = {g: [(r, c, _package_block(b, data.draw(st.booleans()))) for r, c, b in groups[g]] for g in groups}
-    _assert_same_csc(_place(package["blocks"], (n_rows, n_cols), negated=package["negated"],
-                            transposed=package["transposed"]), _canonical(ref.tocsc()))
+    package = [(r, c, _package_block(b, data.draw(st.booleans()), g)) for g in groups for r, c, b in groups[g]]
+    _assert_same_csc(_place(package, (n_rows, n_cols)), _canonical(ref.tocsc()))
 
 
 @given(st.integers(0, 4), st.data())
@@ -1042,8 +1043,8 @@ def test_place_errors_keep_their_messages():
     with pytest.raises(ValueError, match=re.escape(out_of_range)):      # blocks sharing a column
         _place([(0, 0, SparseMat.eye(1)), (1, 0, eye)], (2, 3))
     with pytest.raises(ValueError, match=re.escape("a block of shape (2, 3) at (0, 1) is out of range "
-                                                   "for shape (3, 3)")):   # shape as transposed
-        _place([], (3, 3), transposed=[(0, 1, SparseMat(np.ones((3, 2))))])
+                                                   "for shape (3, 3)")):   # a transposed block's shape
+        _place([(0, 1, _transpose(SparseMat(np.ones((3, 2)))._m))], (3, 3))
     overlap = "blocks overlap: entries of one column collide or fall out of row order"
     for blocks in ([(0, 0, eye), (1, 1, eye)], [(0, 0, col), (1, 0, SparseMat([[1.0]]))]):
         with pytest.raises(ValueError, match=re.escape(overlap)):

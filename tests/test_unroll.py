@@ -47,10 +47,12 @@ def _last(Z, n):
 
 
 def _assert_same_matrix(m1, m2):
-    a, b = m1.tocsc(), m2.tocsc()
+    a, b = m1._m, m2._m   # the package's own arrays: tocsc() may recast their index dtype
     assert a.shape == b.shape
     for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        x, y = getattr(a, name), getattr(b, name)
+        np.testing.assert_array_equal(x, y)
+        assert x.dtype == y.dtype, name
 
 
 def _assert_same_set(Z1, Z2):
@@ -168,9 +170,9 @@ def test_unroll_matches_composition_on_constrained_sets(rng):
     _assert_same_set(unroll(Z0, F_x, F_m, steps), Z_ref)
 
 
-def test_unroll_reuses_products_keyed_on_the_right_objects(rng):
+def test_unroll_matches_composition_on_shared_step_sets(rng):
     # two M sets alternate, and the S sets share one G and one A object
-    # while their c and b differ: every reused product must match its step
+    # while their c and b differ: every step's pin rows must match its own sets
     def conzono(dim, n_g, n_c):
         G = rng.normal(size=(dim, n_g)) * (rng.random((dim, n_g)) < 0.6)
         return ConZono(SparseMat(G), rng.normal(size=dim),
@@ -196,3 +198,10 @@ def test_unroll_rejects_mismatched_steps():
         unroll(X0, sys.A, sys.B, [(sys.S, sys.S, np.zeros(2))])
     with pytest.raises(ValueError, match="cannot multiply"):
         unroll(point_set([1.0]), sys.A, sys.B, [(sys.U, sys.S, np.zeros(2))])
+
+
+def test_unroll_rejects_a_non_square_state_map():
+    # W places [F_x F_m -I] from x_{k-1}'s first column, which only lines up for a square F_x
+    X0, sys = second_order_scenario()
+    with pytest.raises(ValueError, match=r"cannot multiply \(2, 3\)"):
+        unroll(X0, SparseMat(np.ones((2, 3))), sys.B, [(sys.U, sys.S, np.zeros(2))])
