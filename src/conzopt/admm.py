@@ -29,12 +29,15 @@ from .sparse import (
     RankDeficiencyError,
     SparseMat,
     _add,
+    _check_finite,
     _count,
     _diagonal,
     _matmul,
+    _matrix,
     _place,
     _rows,
     _transpose,
+    _vector,
     ldlt_factorize,
     ldlt_solve,
 )
@@ -84,16 +87,12 @@ class QpProblem:
     Z: ConZono
 
     def __post_init__(self):
-        P = self.P if isinstance(self.P, SparseMat) else SparseMat(self.P)
+        P, n = _matrix(self.P), self.Z.dim
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, dtype=float)))
-        n = self.Z.dim
+        object.__setattr__(self, "q", _vector(self.q, n, "q"))
         if P.shape != (n, n):
             raise ValueError(f"cost matrix of shape {P.shape} does not match set dimension {n}")
-        if self.q.shape[0] != n:
-            raise ValueError(f"linear cost of length {self.q.shape[0]} does not match set dimension {n}")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(P._m.data))):
-            raise ValueError("cost has a non-finite entry")
+        _check_finite("P", P._m.data)
         if not P.is_symmetric():
             raise ValueError("cost matrix is not symmetric within 1e-12 relative tolerance")
 
@@ -219,8 +218,6 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     """
     n_g, n_c = reduced.n_g, reduced.n_c
     q_cols = np.asarray(q_tilde_cols, dtype=float)
-    if q_cols.shape[0] != n_g:
-        raise ValueError(f"linear cost of length {q_cols.shape[0]} does not match {n_g} factors")
     m = q_cols.shape[1]
     rho, norm = reduced.rho, settings.norm
     k_inf = settings.k_inf if n_c > 0 else 0    # 0: no constraint rows, so no certificate check
@@ -297,9 +294,7 @@ def admm_solve(reduced: ReducedQp, settings: AdmmSettings = AdmmSettings(),
     so repeated solves against the same factorization can resume.
     A non-finite linear cost raises ValueError.
     """
-    q = reduced.q_tilde if q_tilde is None else np.asarray(q_tilde, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("linear cost has a non-finite entry")
+    q = reduced.q_tilde if q_tilde is None else _vector(q_tilde, reduced.n_g, "q_tilde")
     return _iterate_batch(reduced, q.reshape(-1, 1), settings, warm=warm)[0]
 
 
@@ -327,10 +322,8 @@ def infeasibility_check(reduced: ReducedQp, xi, zeta):
     Runs the solver's certificate check on the single column (xi, zeta)
     and returns the separating projection when it fires.
     """
-    if reduced.n_c == 0:
-        return None
-    v, outside = _separation(reduced, np.asarray(xi, dtype=float).reshape(-1, 1),
-                             np.asarray(zeta, dtype=float).reshape(-1, 1))
+    v, outside = _separation(reduced, _vector(xi, reduced.n_g, "xi").reshape(-1, 1),
+                             _vector(zeta, reduced.n_g, "zeta").reshape(-1, 1))
     return v[:, 0] if outside[0] else None
 
 
@@ -396,20 +389,12 @@ def contains_point(Z: ConZono, x, settings: AdmmSettings = AdmmSettings()) -> bo
     generator rows raise RankDeficiencyError. A point of the wrong length
     or with a non-finite coordinate raises ValueError.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != Z.dim:
-        raise ValueError(f"point of length {x.shape[0]} does not match set dimension {Z.dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point has a non-finite coordinate")
-    return not is_empty(generalized_intersection(Z, point_set(x)), settings)
+    return not is_empty(generalized_intersection(Z, point_set(_vector(x, Z.dim, "x"))), settings)
 
 
 def support(Z: ConZono, d, settings: AdmmSettings = AdmmSettings()) -> float:
     """Support value max_{z in Z} <z, d> computed by the splitting solver."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.shape[0] != Z.dim:
-        raise ValueError(f"direction of length {d.shape[0]} does not match set dimension {Z.dim}")
-    return float(support_batch(Z, d.reshape(-1, 1), settings)[0])
+    return float(support_batch(Z, _vector(d, Z.dim, "d").reshape(-1, 1), settings)[0])
 
 
 def reduce_support(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> ReducedQp:

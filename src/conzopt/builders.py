@@ -19,7 +19,7 @@ from .intervals import IntervalBox
 from .reach import LinearSystem, _fused_domains, _last_block, unroll
 from .sets import ConZono, generalized_intersection, interval_to_zono, point_set
 from .sets import cartesian_product  # noqa: F401  (perfbench/tests patch it under this name)
-from .sparse import SparseMat, _add, _count, _matmul, _transpose, blkdiag, multiply
+from .sparse import SparseMat, _add, _count, _matmul, _matrix, _transpose, _vector, blkdiag, multiply
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,20 @@ class TrajectoryIndex:
 
 def extract_trajectory(z, idx: TrajectoryIndex):
     """Split a stacked decision vector into per-step states and inputs."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[0] != idx.total_dim:
-        raise ValueError(f"vector of length {z.shape[0]} does not match stacked dimension {idx.total_dim}")
+    z = _vector(z, idx.total_dim, "z")
     xs = [z[idx.x_slice(k)].copy() for k in range(len(idx.x_offsets))]
     us = [z[idx.u_slice(k)].copy() for k in range(len(idx.u_offsets))]
     return xs, us
 
 
 def stack_trajectory(xs, us, idx: TrajectoryIndex):
-    """Inverse of extract_trajectory."""
+    """Inverse of extract_trajectory: one state per x offset, one input per u offset."""
     z = np.zeros(idx.total_dim)
-    for k, x in enumerate(xs):
-        z[idx.x_slice(k)] = x
-    for k, u in enumerate(us):
-        z[idx.u_slice(k)] = u
+    for name, blocks, offsets, n in (("xs", xs, idx.x_offsets, idx.n_x), ("us", us, idx.u_offsets, idx.n_u)):
+        if len(blocks) != len(offsets):
+            raise ValueError(f"{name} holds {len(blocks)} blocks, not {len(offsets)}")
+        for k, (o, block) in enumerate(zip(offsets, blocks)):
+            z[o:o + n] = _vector(block, n, f"{name}[{k}]")
     return z
 
 
@@ -89,22 +88,18 @@ class MpcSpec:
     state_sets: list
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        for name in ("Q", "R", "Q_N"):
-            m = getattr(self, name)
-            if not isinstance(m, SparseMat):
-                object.__setattr__(self, name, SparseMat(m))
-        object.__setattr__(self, "N", _count(self.N, "N"))
         n_x, n_u = self.sys.n_x, self.sys.n_u
-        if self.x0.shape[0] != n_x:
-            raise ValueError(f"initial state of length {self.x0.shape[0]} does not match n_x={n_x}")
+        object.__setattr__(self, "x0", _vector(self.x0, n_x, "x0"))
+        object.__setattr__(self, "refs", [_vector(r, n_x, f"refs[{k}]") for k, r in enumerate(self.refs)])
+        object.__setattr__(self, "N", _count(self.N, "N"))
         if len(self.state_sets) != self.N or len(self.refs) != self.N:
             raise ValueError(
                 f"need {self.N} state sets and references, got "
                 f"{len(self.state_sets)} and {len(self.refs)}"
             )
         for name, dim in (("Q", n_x), ("R", n_u), ("Q_N", n_x)):
-            m = getattr(self, name)
+            m = _matrix(getattr(self, name))
+            object.__setattr__(self, name, m)
             if m.shape != (dim, dim):
                 raise ValueError(f"{name} has shape {m.shape}, expected {(dim, dim)}")
             if not m.is_symmetric():
@@ -126,7 +121,7 @@ def build_mpc(spec: MpcSpec):
     for k, ref in enumerate(spec.refs, start=1):
         weight = spec.Q_N if k == N else spec.Q
         P_blocks += [spec.R, weight]
-        q_parts += [np.zeros(n_u), -weight.matvec(np.asarray(ref, dtype=float))]
+        q_parts += [np.zeros(n_u), -weight.matvec(ref)]
     return Z, blkdiag(*P_blocks), np.concatenate(q_parts), _index(n_x, n_u, N)
 
 
@@ -153,13 +148,7 @@ class MheSpec:
     N: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "prior_estimate", np.atleast_1d(np.asarray(self.prior_estimate, dtype=float))
-        )
-        for name in ("prior_info", "Q_inv", "R_inv"):
-            m = getattr(self, name)
-            if not isinstance(m, SparseMat):
-                object.__setattr__(self, name, SparseMat(m))
+        object.__setattr__(self, "prior_estimate", _vector(self.prior_estimate, self.sys.n_x, "prior_estimate"))
         object.__setattr__(self, "N", _count(self.N, "N"))
         if self.sys.C is None:
             raise ValueError("estimation needs a system with a measurement map")
@@ -171,7 +160,9 @@ class MheSpec:
         if self.W.dim != self.sys.n_x:
             raise ValueError(f"process noise set has dimension {self.W.dim}, expected {self.sys.n_x}")
         for name in ("prior_info", "Q_inv", "R_inv"):
-            if not getattr(self, name).is_symmetric():
+            m = _matrix(getattr(self, name))
+            object.__setattr__(self, name, m)
+            if not m.is_symmetric():
                 raise ValueError(f"{name} is not symmetric")
 
 
@@ -187,9 +178,10 @@ def build_mhe(spec: MheSpec):
     ct_rinv = SparseMat(_matmul(_transpose(C._m), spec.R_inv._m))
     ct_rinv_c = multiply(ct_rinv, C)
     steps, q_parts = [], [-spec.prior_info.matvec(spec.prior_estimate)]
-    for u, y, D in zip(spec.inputs, spec.measurements, _fused_domains(sys, spec.V, spec.measurements)):
-        steps.append((spec.W, D, -sys.B.matvec(np.asarray(u, dtype=float))))
-        q_parts += [np.zeros(n_x), -ct_rinv.matvec(np.asarray(y, dtype=float))]
+    domains = _fused_domains(sys, spec.V, spec.measurements, [f"measurements[{j}]" for j in range(spec.N)])
+    for j, (u, (y, D)) in enumerate(zip(spec.inputs, domains)):
+        steps.append((spec.W, D, -sys.B.matvec(_vector(u, sys.n_u, f"inputs[{j}]"))))
+        q_parts += [np.zeros(n_x), -ct_rinv.matvec(y)]
     Z = unroll(spec.prior_set, sys.A, SparseMat.eye(n_x), steps)
     P = blkdiag(spec.prior_info, *[spec.Q_inv, ct_rinv_c] * spec.N)
     return Z, P, np.concatenate(q_parts), _index(n_x, n_x, spec.N), _last_block(Z, n_x)
@@ -235,7 +227,8 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
     N = _count(N, "N")
     if len(x_refs) < N:
         raise ValueError(f"need {N} references, got {len(x_refs)}")
-    K = K if isinstance(K, SparseMat) else SparseMat(K)
+    x_refs = [_vector(x_refs[k], sys.n_x, f"x_refs[{k}]") for k in range(N)]
+    K = _matrix(K)
     bk = _matmul(sys.B._m, K._m)
     a_closed, noise_map = SparseMat(_add(sys.A._m, bk._replace(data=-bk.data))), SparseMat.eye(sys.n_x)
 
@@ -250,7 +243,7 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
         )
         if k == N:
             break
-        u_ff = K.matvec(np.asarray(x_refs[k], dtype=float))
+        u_ff = K.matvec(x_refs[k])
         pinned = unroll(X, a_closed, noise_map, [(W, sys.S, -sys.B.matvec(u_ff))])
         X = _last_block(pinned, sys.n_x)
     return results

@@ -86,8 +86,8 @@ class IntervalBox:
             hi = np.array([iv.hi for iv in intervals], dtype=float)
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape:
-            raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError(f"bounds of shapes {lo.shape} and {hi.shape} are not vectors of one length")
         if not np.all(lo <= hi):
             # a NaN bound fails lo <= hi, as it does in Interval
             bad = int(np.argmin(lo <= hi))
@@ -107,20 +107,27 @@ class IntervalBox:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
+    def _operand(self, x):
+        """A scalar, or a vector of the box's length (infinite entries allowed), as a float array."""
+        x = np.asarray(x, dtype=float)
+        if x.shape not in ((), self.lo.shape):
+            raise ValueError(f"operand of shape {x.shape} does not match a box of length {len(self)}")
+        return x
+
     def __add__(self, other):
         if isinstance(other, IntervalBox):
-            return IntervalBox(self.lo + other.lo, self.hi + other.hi)
-        shift = np.asarray(other, dtype=float)
+            return IntervalBox(self.lo + self._operand(other.lo), self.hi + other.hi)
+        shift = self._operand(other)
         return IntervalBox(self.lo + shift, self.hi + shift)
 
     def __sub__(self, other):
         if isinstance(other, IntervalBox):
-            return IntervalBox(self.lo - other.hi, self.hi - other.lo)
-        shift = np.asarray(other, dtype=float)
+            return IntervalBox(self.lo - self._operand(other.hi), self.hi - other.lo)
+        shift = self._operand(other)
         return IntervalBox(self.lo - shift, self.hi - shift)
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
+        x = self._operand(x)
         return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
 
     @property

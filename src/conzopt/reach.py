@@ -18,27 +18,23 @@ for set-valued state estimation follow the same standard/sparse split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .sets import (
-    ConZono,
-    _check_finite,
-    affine_map,
-    cartesian_product,
-    generalized_intersection,
-    minkowski_sum,
-)
+from .sets import ConZono, affine_map, cartesian_product, generalized_intersection, minkowski_sum
 from .sparse import (
     SparseMat,
     _add,
+    _check_finite,
     _count,
     _diagonal,
     _matmul,
+    _matrix,
     _matvec,
     _place_csc,
     _rows,
+    _vector,
     blkdiag,
     hcat,
     vcat,
@@ -60,12 +56,11 @@ class LinearSystem:
     C: SparseMat | None = None
 
     def __post_init__(self):
-        A = self.A if isinstance(self.A, SparseMat) else SparseMat(self.A)
-        B = self.B if isinstance(self.B, SparseMat) else SparseMat(self.B)
+        A, B = _matrix(self.A), _matrix(self.B)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        if self.C is not None and not isinstance(self.C, SparseMat):
-            object.__setattr__(self, "C", SparseMat(self.C))
+        if self.C is not None:
+            object.__setattr__(self, "C", _matrix(self.C))
         if A.n_rows != A.n_cols:
             raise ValueError(f"state matrix must be square, got {A.shape}")
         if B.n_rows != A.n_rows:
@@ -100,10 +95,11 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     of S_k and the pin rows. Since x_{k-1}, m_k and s_k are adjacent in
     the stack, the pin rows are those of one matrix W holding
     [F_x F_m -I] at step k's pin rows and x_{k-1}'s first column: they
-    are W G next to the sets' constraint blocks, with rhs t - W c. Only
-    what is computed here is scanned for non-finite values: W G and the
-    pin rows' rhs.
+    are W G next to the sets' constraint blocks, with rhs t - W c. Each t_k
+    is read by the vector rule (its length is checked with the step's sets);
+    of what is computed here, W G and the pin rows' rhs are scanned.
     """
+    F_x, F_m = _matrix(F_x), _matrix(F_m)
     n_x = F_x.shape[0]
     if F_x.shape[1] != n_x or Z0.dim < n_x:
         raise ValueError(f"cannot multiply {F_x.shape} by the last {n_x} coordinates "
@@ -116,6 +112,7 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     A_blocks, W_blocks = [(0, 0, Z0.A)], []       # (row, col, block)s of the sets' constraints and of W
     n_rows, n_cols, x_col = Z0.n_c, Z0.n_g, Z0.dim - n_x
     for M, S, t in steps:
+        t = _vector(t, None, "t")
         if (M.dim, S.dim, len(t)) != (F_m.shape[1], n_x, n_x):
             raise ValueError(f"step sets and target of dimensions {(M.dim, S.dim, len(t))} "
                              f"do not match {(F_m.shape[1], n_x, n_x)}")
@@ -202,12 +199,9 @@ def svse_step_standard(Xk: ConZono, sys: LinearSystem, W: ConZono, V: ConZono, u
     """
     if sys.C is None:
         raise ValueError("system has no measurement map")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    y_next = np.atleast_1d(np.asarray(y_next, dtype=float))
+    u, y_next = _vector(u, sys.n_u, "u"), _vector(y_next, sys.C.n_rows, "measurement")
     if W.dim != sys.n_x:
         raise ValueError(f"process noise set has dimension {W.dim}, expected {sys.n_x}")
-    if sys.C.n_rows != y_next.shape[0]:
-        raise ValueError(f"measurement of length {y_next.shape[0]} does not match map rows {sys.C.n_rows}")
     propagated = minkowski_sum(affine_map(sys.A, Xk, sys.B.matvec(u)), W)
     meas_set = affine_map(SparseMat.eye(V.dim, -1.0), V, y_next)
     fused = generalized_intersection(propagated, meas_set, sys.C)
@@ -222,24 +216,29 @@ def svse_step_sparse(Xk: ConZono, sys: LinearSystem, W: ConZono, V: ConZono, u, 
     """
     if sys.C is None:
         raise ValueError("system has no measurement map")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    step = (W, _fused_domains(sys, V, [y_next])[0], -sys.B.matvec(u))
-    pinned = unroll(Xk, sys.A, SparseMat.eye(sys.n_x), [step])
+    u = _vector(u, sys.n_u, "u")
+    [(_, D)] = _fused_domains(sys, V, [y_next], ["measurement"])
+    pinned = unroll(Xk, sys.A, SparseMat.eye(sys.n_x), [(W, D, -sys.B.matvec(u))])
     return _last_block(pinned, sys.n_x)
 
 
-def _fused_domains(sys: LinearSystem, V: ConZono, ys) -> list:
-    """S intersected through C with (y - V) for each measurement y; the sets share G and A."""
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
-    for y in ys:
-        if y.shape != V.c.shape:
-            raise ValueError(f"measurement of length {y.shape[0]} does not match noise set dimension {V.dim}")
+def _fused_domains(sys: LinearSystem, V: ConZono, ys, names) -> list:
+    """(y, S intersected through C with (y - V)) for each measurement y, read as a vector of
+    V's dimension and named by ``names`` in an error; the sets share G and A."""
+    ys = [_vector(y, V.dim, name) for y, name in zip(ys, names)]
     D = generalized_intersection(sys.S, ConZono._of_checked(-V.G, -V.c, V.A, V.b), sys.C)
     b_head, C_cS = D.b[:D.n_c - V.dim], sys.C.matvec(sys.S.c)
     tails = [(y - V.c) - C_cS for y in ys]
     for tail in tails:
         _check_finite("b", tail)
-    return [ConZono._of_checked(D.G, D.c, D.A, np.concatenate([b_head, tail])) for tail in tails]
+    return [(y, ConZono._of_checked(D.G, D.c, D.A, np.concatenate([b_head, tail])))
+            for y, tail in zip(ys, tails)]
+
+
+def _check_counts(counts):
+    """Check every field of a dataclass of counts by the count rule, naming the field."""
+    for f in fields(counts):
+        _count(getattr(counts, f.name), f.name)
 
 
 @dataclass(frozen=True)
@@ -251,14 +250,12 @@ class ComplexityPrediction:
     nnz_g_bound: int
     nnz_a_bound: int
 
-    def __post_init__(self):
-        for name in ("n_g", "n_c", "nnz_g_bound", "nnz_a_bound"):
-            _count(getattr(self, name), name)
+    __post_init__ = _check_counts
 
 
 @dataclass(frozen=True)
 class ReachDims:
-    """Dimension and set-size counts that determine memory complexity."""
+    """Dimension and set-size counts that determine memory complexity, checked on construction."""
 
     n_x: int
     n_u: int
@@ -268,6 +265,8 @@ class ReachDims:
     n_cs: int
     n_gu: int
     n_cu: int
+
+    __post_init__ = _check_counts
 
     @classmethod
     def of(cls, X0: ConZono, sys: LinearSystem):

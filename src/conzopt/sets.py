@@ -5,7 +5,8 @@ With no constraint rows it reduces to a zonotope. All operations return
 new sets; inputs are never mutated.
 
 Every set is finite, checked where data enters: the public constructor
-scans G, c, A and b, and an operation builds its result through
+reads c and b by ``sparse._vector``'s rule and scans G and A with its
+``_check_finite``, and an operation builds its result through
 ``ConZono._of_checked`` after scanning only the values it computed
 (a center, a product with a map, a constraint right-hand side).
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .intervals import Interval, IntervalBox
-from .sparse import SparseMat, _count, _matmul, _place, blkdiag, hcat, multiply
+from .sparse import SparseMat, _check_finite, _count, _matmul, _matrix, _place, _vector, blkdiag, hcat, multiply
 
 
 class ConZono:
@@ -29,26 +30,14 @@ class ConZono:
     __slots__ = ("G", "c", "A", "b")
 
     def __init__(self, G, c, A=None, b=None):
-        G = G if isinstance(G, SparseMat) else SparseMat(G)
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        if A is None:
-            A = SparseMat.zeros(0, G.n_cols)
-        else:
-            A = A if isinstance(A, SparseMat) else SparseMat(A)
-        if b is None:
-            b = np.zeros(A.n_rows)
-        else:
-            b = np.atleast_1d(np.asarray(b, dtype=float))
-        if G.n_rows != c.shape[0]:
-            raise ValueError(f"generator matrix has {G.n_rows} rows but center has length {c.shape[0]}")
+        G = _matrix(G)
+        _check_finite("G", G._m.data)
+        c = _vector(c, G.n_rows, "c")
+        A = SparseMat.zeros(0, G.n_cols) if A is None else _matrix(A)
         if A.n_cols != G.n_cols:
-            raise ValueError(
-                f"constraint matrix has {A.n_cols} columns but generator matrix has {G.n_cols}"
-            )
-        if A.n_rows != b.shape[0]:
-            raise ValueError(f"constraint matrix has {A.n_rows} rows but rhs has length {b.shape[0]}")
-        for name, values in (("G", G._m.data), ("c", c), ("A", A._m.data), ("b", b)):
-            _check_finite(name, values)
+            raise ValueError(f"constraint matrix has {A.n_cols} columns but generator matrix has {G.n_cols}")
+        _check_finite("A", A._m.data)
+        b = np.zeros(A.n_rows) if b is None else _vector(b, A.n_rows, "b")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
@@ -86,8 +75,7 @@ class ConZono:
 
     def point(self, xi):
         """Map a factor vector through the generators: G xi + c."""
-        xi = np.asarray(xi, dtype=float)
-        return self.G.matvec(xi) + self.c
+        return self.G.matvec(_vector(xi, self.n_g, "xi")) + self.c
 
     def __repr__(self):
         return f"ConZono(dim={self.dim}, n_g={self.n_g}, n_c={self.n_c})"
@@ -113,35 +101,24 @@ class ConZono:
             return SparseMat.from_triplets(rows, cols, vals, shape)
         return cls(
             triplet_mat(d["G"], (d["n"], d["nG"])),
-            np.asarray(d["c"], dtype=float),
+            d["c"],
             triplet_mat(d["A"], (d["nC"], d["nG"])),
-            np.asarray(d["b"], dtype=float),
+            d["b"],
         )
-
-
-def _check_finite(name, values):
-    """ValueError naming set part ``name`` when one of ``values`` is NaN or infinite."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} has a NaN or infinite entry")
 
 
 def point_set(x) -> ConZono:
     """Singleton {x} as a zero-generator constrained zonotope."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return ConZono(SparseMat.zeros(x.shape[0], 0), x)
+    x = _vector(x, None, "x")
+    return ConZono._of_checked(SparseMat.zeros(len(x), 0), x, SparseMat.zeros(0, 0), np.zeros(0))
 
 
 def affine_map(R, Z: ConZono, s=None) -> ConZono:
     """R Z + s = <R G, R c + s, A, b>; the constraint block is unchanged."""
-    R = R if isinstance(R, SparseMat) else SparseMat(R)
+    R = _matrix(R)
     if R.n_cols != Z.dim:
         raise ValueError(f"map with {R.n_cols} columns cannot act on a set of dimension {Z.dim}")
-    if s is None:
-        s = np.zeros(R.n_rows)
-    else:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if s.shape[0] != R.n_rows:
-            raise ValueError(f"offset of length {s.shape[0]} does not match map with {R.n_rows} rows")
+    s = np.zeros(R.n_rows) if s is None else _vector(s, R.n_rows, "offset")
     G, c = multiply(R, Z.G), R.matvec(Z.c) + s
     _check_finite("G", G._m.data)
     _check_finite("c", c)
@@ -171,10 +148,11 @@ def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
     if R is None:
         RG1, Rc1, n_rows = Z1.G, Z1.c, Z1.dim
     else:
-        R = R if isinstance(R, SparseMat) else SparseMat(R)
+        R = _matrix(R)
         if R.n_cols != Z1.dim:
             raise ValueError(f"map with {R.n_cols} columns cannot act on a set of dimension {Z1.dim}")
         RG1, Rc1, n_rows = _matmul(R._m, Z1.G._m), R.matvec(Z1.c), R.n_rows
+        _check_finite("A", RG1.data)
     if n_rows != Z2.dim:
         raise ValueError(f"map with {n_rows} rows does not land in a set of dimension {Z2.dim}")
     n_g, n_c = Z1.n_g + Z2.n_g, Z1.n_c + Z2.n_c
@@ -183,8 +161,6 @@ def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
     A = _place([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A), (n_c, 0, RG1), (n_c, Z1.n_g, neg_G2)],
                (n_c + n_rows, n_g))
     rhs = Z2.c - Rc1
-    if R is not None:
-        _check_finite("A", RG1.data)
     _check_finite("b", rhs)
     return ConZono._of_checked(G, Z1.c, A, np.concatenate([Z1.b, Z2.b, rhs]))
 
@@ -218,7 +194,7 @@ def make_regular_polygon(m, inradius, center=(0.0, 0.0)) -> ConZono:
     k = np.arange(m // 2)
     angles = 2.0 * np.pi * k / m
     G = np.vstack([half_edge * np.cos(angles), half_edge * np.sin(angles)])
-    return ConZono(SparseMat(G), np.asarray(center, dtype=float))
+    return ConZono(SparseMat(G), _vector(center, 2, "center"))
 
 
 def zonotope_support(Z: ConZono, d):
@@ -229,11 +205,7 @@ def zonotope_support(Z: ConZono, d):
     """
     if Z.n_c != 0:
         raise ValueError("closed-form support applies to zonotopes only")
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.shape != (Z.dim,):
-        raise ValueError(f"direction of shape {d.shape} does not match set dimension {Z.dim}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("direction has a non-finite entry")
+    d = _vector(d, Z.dim, "d")
     return float(d @ Z.c + np.sum(np.abs(Z.G.rmatvec(d))))
 
 

@@ -193,16 +193,10 @@ class SparseMat:
         return multiply(self, other)
 
     def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n_cols:
-            raise ValueError(f"cannot multiply {self.shape} by vector of length {x.shape[0]}")
-        return _matvec(self._m, x)
+        return _matvec(self._m, np.asarray(x, dtype=float))
 
     def rmatvec(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n_rows:
-            raise ValueError(f"cannot multiply transpose of {self.shape} by vector of length {x.shape[0]}")
-        return _matvec(self._m, x, transpose=True)
+        return _matvec(self._m, np.asarray(x, dtype=float), transpose=True)
 
     def max_abs(self):
         return float(np.max(np.abs(self._m.data))) if self.nnz else 0.0
@@ -286,8 +280,12 @@ def _matvec(m, x, transpose=False):
     """The product of the CSC matrix m (scipy or ``_Csc``), or of its transpose, with a vector
     or the columns of a 2-D x, through scipy's compiled kernels: a 1-D x and a single column go
     through the one-vector kernel as in scipy's ``@``. m's CSC arrays are m^T's CSR arrays, so
-    entry j of m^T x sums column j of m in stored order."""
+    entry j of m^T x sums column j of m in stored order. An x whose first dimension is not
+    m's (a 0-D x has none) raises ValueError."""
     n_out, n_in = m.shape[::-1] if transpose else m.shape
+    if x.shape[:1] != (n_in,):
+        operand = f"transpose of {m.shape}" if transpose else f"{m.shape}"
+        raise ValueError(f"cannot multiply {operand} by vector of length {x.shape[0] if x.ndim else 'none'}")
     kernel, kernels = (csr_matvec, csr_matvecs) if transpose else (csc_matvec, csc_matvecs)
     if x.ndim == 2 and x.shape[1] != 1:
         y = np.zeros((n_out, x.shape[1]))
@@ -406,6 +404,33 @@ def _count(value, name, minimum=0):
     return value
 
 
+def _vector(x, n, name):
+    """A vector argument (a center, offset, direction, state, measurement) as a finite float
+    array: the one rule for every vector. A scalar reads as length 1; an array that is not
+    1-D, a NaN or infinite entry and a length other than ``n`` (any length when ``n`` is
+    None) raise ValueError naming ``name``, checked in that order."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        if x.ndim:
+            raise ValueError(f"{name} of shape {x.shape} is not a vector")
+        x = x.reshape(1)
+    _check_finite(name, x)
+    if n is not None and len(x) != n:
+        raise ValueError(f"{name} of length {len(x)} does not match {n}")
+    return x
+
+
+def _check_finite(name, values):
+    """ValueError naming ``name`` when one of ``values`` is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has a NaN or infinite entry")
+
+
+def _matrix(m):
+    """A matrix argument as a SparseMat: one is returned as it is, anything else constructs one."""
+    return m if isinstance(m, SparseMat) else SparseMat(m)
+
+
 def _shape(dims):
     """Dimensions as Python ints, each a count."""
     return tuple(_count(d, "dimension") for d in dims)
@@ -436,7 +461,7 @@ def _dense_csc(a):
 
 
 def hcat(*mats):
-    mats = [SparseMat(m) if not isinstance(m, SparseMat) else m for m in mats]
+    mats = [_matrix(m) for m in mats]
     if len({m.n_rows for m in mats}) != 1:
         raise ValueError(f"cannot hcat matrices with row counts {[m.shape for m in mats]}")
     cols = list(accumulate((m.n_cols for m in mats), initial=0))
@@ -444,7 +469,7 @@ def hcat(*mats):
 
 
 def vcat(*mats):
-    mats = [SparseMat(m) if not isinstance(m, SparseMat) else m for m in mats]
+    mats = [_matrix(m) for m in mats]
     if len({m.n_cols for m in mats}) != 1:
         raise ValueError(f"cannot vcat matrices with column counts {[m.shape for m in mats]}")
     rows = list(accumulate((m.n_rows for m in mats), initial=0))
@@ -453,7 +478,7 @@ def vcat(*mats):
 
 def blkdiag(*mats):
     """Block-diagonal matrix: ``_place`` on the diagonal offsets."""
-    mats = [SparseMat(m) if not isinstance(m, SparseMat) else m for m in mats]
+    mats = [_matrix(m) for m in mats]
     rows = list(accumulate((m.n_rows for m in mats), initial=0))
     cols = list(accumulate((m.n_cols for m in mats), initial=0))
     return _place(list(zip(rows, cols, mats)), (rows[-1], cols[-1]))
@@ -567,7 +592,7 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
     1e-12 * max|m| or below, which signals that the coupling rows are
     not full row rank.
     """
-    m = m if isinstance(m, SparseMat) else SparseMat(m)
+    m = _matrix(m)
     if m.n_rows != m.n_cols:
         raise ValueError(f"cannot factorize non-square matrix of shape {m.shape}")
     if not m.is_symmetric():
@@ -630,8 +655,9 @@ def ldlt_solve(factor: LdltFactor, rhs):
     result has the same shape.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != factor.n:
-        raise ValueError(f"rhs of length {rhs.shape[0]} does not match system dimension {factor.n}")
+    if rhs.shape[:1] != (factor.n,):     # a 0-D rhs has no length
+        raise ValueError(f"rhs of length {rhs.shape[0] if rhs.ndim else 'none'} does not match "
+                         f"system dimension {factor.n}")
     x = factor._tri.solve(rhs)
     x /= factor.D if rhs.ndim == 1 else factor.D[:, None]
     return factor._tri.solve(x, trans="T")

@@ -7,7 +7,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import time
 
 import numpy as np
-import pytest
 
 from conzopt import (
     AdmmSettings,

@@ -11,7 +11,6 @@ from conzopt import (
     RankDeficiencyError,
     SparseMat,
     admm_solve,
-    affine_map,
     bounding_box,
     check_empty,
     contains_point,
@@ -577,7 +576,7 @@ def test_contains_point_dimension_error():
 def test_non_finite_input_rejected_on_entry(call):
     # a NaN or infinite input would otherwise run to the iteration limit
     Z = make_regular_polygon(6, 1.0)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite|has a NaN or infinite entry"):
         call(Z)
 
 

@@ -108,3 +108,17 @@ def test_inclusion_isotonic_bulk(rng):
         assert prod.lo - 1e-12 <= x[i] * y[i] <= prod.hi + 1e-12
         scaled = ix.scale(alpha[i])
         assert scaled.lo - 1e-12 <= alpha[i] * x[i] <= scaled.hi + 1e-12
+
+
+def test_box_operands_are_scalars_or_vectors_of_its_length():
+    box = IntervalBox([0.0], [1.0])
+    # each of these once broadcast to a two-component result or answer
+    for op in (lambda: box.contains([0.5, 0.5]), lambda: box + [1.0, 2.0], lambda: box - [1.0, 2.0],
+               lambda: box + IntervalBox([0.0, 0.0], [1.0, 1.0]), lambda: box.contains([[0.5]])):
+        with pytest.raises(ValueError, match="^operand of shape .* does not match a box of length 1$"):
+            op()
+    with pytest.raises(ValueError, match=r"^bounds of shapes \(2, 2\) and \(2, 2\) are not vectors"):
+        IntervalBox(np.zeros((2, 2)), np.ones((2, 2)))
+    # scalars and infinite entries stay allowed
+    assert box.contains(0.5) and IntervalBox([-np.inf], [np.inf]).contains([np.inf])
+    assert (box + 1.0).lo[0] == 1.0 and (box - [np.inf]).lo[0] == -np.inf

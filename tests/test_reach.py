@@ -324,3 +324,13 @@ def test_svse_requires_measurement_map(second_order):
     for step in (svse_step_standard, svse_step_sparse):
         with pytest.raises(ValueError, match="measurement of length 1"):
             step(point_set([1.0, -0.5]), sys, W, V, np.array([0.3]), np.array([1.0]))
+
+
+def test_reach_dims_checks_its_counts():
+    # each field is read by the count rule on construction, named by the field
+    with pytest.raises(ValueError, match="^n_x must be nonnegative, got -1$"):
+        predict_complexity("sparse", 2, ReachDims(-1, 1, 1, 1, 1, 1, 1, 1))
+    with pytest.raises(ValueError, match="^n_u must be nonnegative, got -5$"):
+        predict_complexity("standard", 2, ReachDims(2, -5, 1, 0, 1, 0, 1, 0))
+    with pytest.raises(TypeError):
+        ReachDims(2, 1, 1, 0, 1, 0, 1, 0.5)

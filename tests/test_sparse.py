@@ -1070,3 +1070,15 @@ def test_rows_kernel_matches_scipy_row_indexing(raw, data):
     drawn = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)), dtype=bool)
     for keep in (np.zeros(n_rows, dtype=bool), np.ones(n_rows, dtype=bool), last, drawn):
         _assert_same_arrays(_rows(a, keep), a[keep])
+
+
+def test_zero_dimensional_operands_raise_value_error():
+    # a 0-D operand has no length; it once raised IndexError inside the length check
+    one = SparseMat.eye(1)
+    with pytest.raises(ValueError, match=re.escape("cannot multiply (1, 1) by vector of length none")):
+        one.matvec(3.0)
+    with pytest.raises(ValueError, match=re.escape("cannot multiply transpose of (1, 1) by vector of length none")):
+        one.rmatvec(3.0)
+    with pytest.raises(ValueError, match="^rhs of length none does not match system dimension 1$"):
+        ldlt_solve(ldlt_factorize(one), 3.0)
+    assert np.array_equal(one.matvec([3.0]), [3.0]) and np.array_equal(one.rmatvec(np.ones((1, 2))), [[1.0, 1.0]])
