@@ -80,21 +80,16 @@ class AdmmSettings:
 
 @dataclass(frozen=True)
 class QpProblem:
-    """min 1/2 x^T P x + q^T x subject to x in Z; P and q must be finite."""
+    """min 1/2 x^T P x + q^T x subject to x in Z; P (symmetric) and q must be finite."""
 
     P: SparseMat
     q: np.ndarray
     Z: ConZono
 
     def __post_init__(self):
-        P, n = _matrix(self.P), self.Z.dim
-        object.__setattr__(self, "P", P)
+        n = self.Z.dim
+        object.__setattr__(self, "P", _matrix(self.P, "P", (n, n), symmetric=True))
         object.__setattr__(self, "q", _vector(self.q, n, "q"))
-        if P.shape != (n, n):
-            raise ValueError(f"cost matrix of shape {P.shape} does not match set dimension {n}")
-        _check_finite("P", P._m.data)
-        if not P.is_symmetric():
-            raise ValueError("cost matrix is not symmetric within 1e-12 relative tolerance")
 
 
 class ReducedQp:
@@ -415,8 +410,7 @@ def support_batch(Z: ConZono, directions, settings: AdmmSettings = AdmmSettings(
     if D.ndim != 2 or D.shape[0] != Z.dim:
         raise ValueError(f"directions of shape {D.shape} do not match shape ({Z.dim}, m): "
                          "one direction per column")
-    if not np.all(np.isfinite(D)):
-        raise ValueError("directions have a non-finite entry")
+    _check_finite("directions", D)
     kept = _without_empty_rows(Z)
     if kept is None:
         raise EmptySetError("support of an empty set")

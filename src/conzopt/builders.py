@@ -97,13 +97,8 @@ class MpcSpec:
                 f"need {self.N} state sets and references, got "
                 f"{len(self.state_sets)} and {len(self.refs)}"
             )
-        for name, dim in (("Q", n_x), ("R", n_u), ("Q_N", n_x)):
-            m = _matrix(getattr(self, name))
-            object.__setattr__(self, name, m)
-            if m.shape != (dim, dim):
-                raise ValueError(f"{name} has shape {m.shape}, expected {(dim, dim)}")
-            if not m.is_symmetric():
-                raise ValueError(f"{name} is not symmetric")
+        for name, n in (("Q", n_x), ("R", n_u), ("Q_N", n_x)):
+            object.__setattr__(self, name, _matrix(getattr(self, name), name, (n, n), symmetric=True))
 
 
 def build_mpc(spec: MpcSpec):
@@ -148,7 +143,8 @@ class MheSpec:
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "prior_estimate", _vector(self.prior_estimate, self.sys.n_x, "prior_estimate"))
+        n_x = self.sys.n_x
+        object.__setattr__(self, "prior_estimate", _vector(self.prior_estimate, n_x, "prior_estimate"))
         object.__setattr__(self, "N", _count(self.N, "N"))
         if self.sys.C is None:
             raise ValueError("estimation needs a system with a measurement map")
@@ -157,13 +153,10 @@ class MheSpec:
                 f"need {self.N} inputs and measurements, got "
                 f"{len(self.inputs)} and {len(self.measurements)}"
             )
-        if self.W.dim != self.sys.n_x:
-            raise ValueError(f"process noise set has dimension {self.W.dim}, expected {self.sys.n_x}")
-        for name in ("prior_info", "Q_inv", "R_inv"):
-            m = _matrix(getattr(self, name))
-            object.__setattr__(self, name, m)
-            if not m.is_symmetric():
-                raise ValueError(f"{name} is not symmetric")
+        if self.W.dim != n_x:
+            raise ValueError(f"process noise set has dimension {self.W.dim}, expected {n_x}")
+        for name, n in (("prior_info", n_x), ("Q_inv", n_x), ("R_inv", self.sys.C.n_rows)):
+            object.__setattr__(self, name, _matrix(getattr(self, name), name, (n, n), symmetric=True))
 
 
 def build_mhe(spec: MheSpec):
@@ -222,13 +215,15 @@ def safety_verify(sys: LinearSystem, K, x_refs, W: ConZono, X0: ConZono, O: ConZ
     safe. An iteration-limited check is reported as not certified.
 
     N >= 0 steps give N + 1 certificates, for X_0..X_N; x_refs needs at
-    least N entries.
+    least N entries. K, of shape (n_u, n_x), and R_map, of shape
+    (O.dim, n_x), are read by the matrix rule.
     """
     N = _count(N, "N")
     if len(x_refs) < N:
         raise ValueError(f"need {N} references, got {len(x_refs)}")
     x_refs = [_vector(x_refs[k], sys.n_x, f"x_refs[{k}]") for k in range(N)]
-    K = _matrix(K)
+    K = _matrix(K, "K", (sys.n_u, sys.n_x))
+    R_map = _matrix(R_map, "R_map", (O.dim, sys.n_x))
     bk = _matmul(sys.B._m, K._m)
     a_closed, noise_map = SparseMat(_add(sys.A._m, bk._replace(data=-bk.data))), SparseMat.eye(sys.n_x)
 

@@ -56,15 +56,11 @@ class LinearSystem:
     C: SparseMat | None = None
 
     def __post_init__(self):
-        A, B = _matrix(self.A), _matrix(self.B)
+        A = _matrix(self.A, "A", square=True)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "B", _matrix(self.B, "B", (A.n_rows, None)))
         if self.C is not None:
-            object.__setattr__(self, "C", _matrix(self.C))
-        if A.n_rows != A.n_cols:
-            raise ValueError(f"state matrix must be square, got {A.shape}")
-        if B.n_rows != A.n_rows:
-            raise ValueError(f"input matrix rows {B.n_rows} do not match state dimension {A.n_rows}")
+            object.__setattr__(self, "C", _matrix(self.C, "C", (None, A.n_rows)))
         if self.S.dim != self.n_x:
             raise ValueError(f"state domain set has dimension {self.S.dim}, expected {self.n_x}")
         if self.U.dim != self.n_u:
@@ -95,17 +91,17 @@ def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
     of S_k and the pin rows. Since x_{k-1}, m_k and s_k are adjacent in
     the stack, the pin rows are those of one matrix W holding
     [F_x F_m -I] at step k's pin rows and x_{k-1}'s first column: they
-    are W G next to the sets' constraint blocks, with rhs t - W c. Each t_k
-    is read by the vector rule (its length is checked with the step's sets);
-    of what is computed here, W G and the pin rows' rhs are scanned.
+    are W G next to the sets' constraint blocks, with rhs t - W c. F_x (square)
+    and F_m (F_x's rows) are read by the matrix rule, each t_k by the vector
+    rule (its length is checked with the step's sets); of what is computed
+    here, W G and the pin rows' rhs are scanned.
     """
-    F_x, F_m = _matrix(F_x), _matrix(F_m)
-    n_x = F_x.shape[0]
-    if F_x.shape[1] != n_x or Z0.dim < n_x:
+    F_x = _matrix(F_x, "F_x", square=True)
+    n_x = F_x.n_rows
+    F_m = _matrix(F_m, "F_m", (n_x, None))
+    if Z0.dim < n_x:
         raise ValueError(f"cannot multiply {F_x.shape} by the last {n_x} coordinates "
                          f"of a set of dimension {Z0.dim}")
-    if F_m.shape[0] != n_x:
-        raise ValueError(f"maps of shapes {F_x.shape} and {F_m.shape} do not match")
     pin = _place_csc([(0, 0, F_x), (0, n_x, F_m), (0, n_x + F_m.shape[1], _diagonal(n_x, -1.0))],
                      (n_x, n_x + F_m.shape[1] + n_x))  # [F_x F_m -I]
     parts, b_parts = [Z0], [Z0.b]                 # the stacked sets; the rhs pieces, t at the pin rows

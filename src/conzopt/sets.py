@@ -5,10 +5,10 @@ With no constraint rows it reduces to a zonotope. All operations return
 new sets; inputs are never mutated.
 
 Every set is finite, checked where data enters: the public constructor
-reads c and b by ``sparse._vector``'s rule and scans G and A with its
-``_check_finite``, and an operation builds its result through
-``ConZono._of_checked`` after scanning only the values it computed
-(a center, a product with a map, a constraint right-hand side).
+reads c and b by ``sparse._vector``'s rule and G and A by ``_matrix``'s,
+and an operation builds its result through ``ConZono._of_checked`` after
+scanning only the values it computed (a center, a product with a map, a
+constraint right-hand side).
 """
 
 from __future__ import annotations
@@ -30,13 +30,9 @@ class ConZono:
     __slots__ = ("G", "c", "A", "b")
 
     def __init__(self, G, c, A=None, b=None):
-        G = _matrix(G)
-        _check_finite("G", G._m.data)
+        G = _matrix(G, "G")
         c = _vector(c, G.n_rows, "c")
-        A = SparseMat.zeros(0, G.n_cols) if A is None else _matrix(A)
-        if A.n_cols != G.n_cols:
-            raise ValueError(f"constraint matrix has {A.n_cols} columns but generator matrix has {G.n_cols}")
-        _check_finite("A", A._m.data)
+        A = SparseMat.zeros(0, G.n_cols) if A is None else _matrix(A, "A", (None, G.n_cols))
         b = np.zeros(A.n_rows) if b is None else _vector(b, A.n_rows, "b")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "c", c)
@@ -93,18 +89,24 @@ class ConZono:
 
     @classmethod
     def from_json_dict(cls, d):
-        def triplet_mat(entries, shape):
+        """The set ``to_json_dict`` wrote. A missing key, or a G or A that is not a list of
+        [row, col, value] triplets, raises ValueError naming the key; a count that is not an
+        integer raises TypeError."""
+        missing = [key for key in ("n", "nG", "nC", "G", "c", "A", "b") if key not in d]
+        if missing:
+            raise ValueError(f"set JSON has no key {missing[0]!r}")
+
+        def triplet_mat(key, shape):
+            entries = d[key]
+            if not isinstance(entries, (list, tuple)) or not all(
+                    isinstance(e, (list, tuple)) and len(e) == 3 for e in entries):
+                raise ValueError(f"{key} is not a list of [row, col, value] triplets")
             if not entries:
                 return SparseMat.zeros(*shape)
             # indices go through unconverted: from_triplets rejects non-integral ones
             rows, cols, vals = zip(*((e[0], e[1], float(e[2])) for e in entries))
             return SparseMat.from_triplets(rows, cols, vals, shape)
-        return cls(
-            triplet_mat(d["G"], (d["n"], d["nG"])),
-            d["c"],
-            triplet_mat(d["A"], (d["nC"], d["nG"])),
-            d["b"],
-        )
+        return cls(triplet_mat("G", (d["n"], d["nG"])), d["c"], triplet_mat("A", (d["nC"], d["nG"])), d["b"])
 
 
 def point_set(x) -> ConZono:
@@ -115,9 +117,7 @@ def point_set(x) -> ConZono:
 
 def affine_map(R, Z: ConZono, s=None) -> ConZono:
     """R Z + s = <R G, R c + s, A, b>; the constraint block is unchanged."""
-    R = _matrix(R)
-    if R.n_cols != Z.dim:
-        raise ValueError(f"map with {R.n_cols} columns cannot act on a set of dimension {Z.dim}")
+    R = _matrix(R, "R", (None, Z.dim))
     s = np.zeros(R.n_rows) if s is None else _vector(s, R.n_rows, "offset")
     G, c = multiply(R, Z.G), R.matvec(Z.c) + s
     _check_finite("G", G._m.data)
@@ -146,20 +146,18 @@ def generalized_intersection(Z1: ConZono, Z2: ConZono, R=None) -> ConZono:
     Result: <[G1 0], c1, [[A1 0]; [0 A2]; [R G1, -G2]], [b1; b2; c2 - R c1]>.
     """
     if R is None:
-        RG1, Rc1, n_rows = Z1.G, Z1.c, Z1.dim
+        if Z1.dim != Z2.dim:
+            raise ValueError(f"cannot intersect sets of dimensions {Z1.dim} and {Z2.dim}")
+        RG1, Rc1 = Z1.G, Z1.c
     else:
-        R = _matrix(R)
-        if R.n_cols != Z1.dim:
-            raise ValueError(f"map with {R.n_cols} columns cannot act on a set of dimension {Z1.dim}")
-        RG1, Rc1, n_rows = _matmul(R._m, Z1.G._m), R.matvec(Z1.c), R.n_rows
+        R = _matrix(R, "R", (Z2.dim, Z1.dim))
+        RG1, Rc1 = _matmul(R._m, Z1.G._m), R.matvec(Z1.c)
         _check_finite("A", RG1.data)
-    if n_rows != Z2.dim:
-        raise ValueError(f"map with {n_rows} rows does not land in a set of dimension {Z2.dim}")
     n_g, n_c = Z1.n_g + Z2.n_g, Z1.n_c + Z2.n_c
     G = Z1.G if Z2.n_g == 0 else _place([(0, 0, Z1.G)], (Z1.dim, n_g))
     neg_G2 = Z2.G._m._replace(data=-Z2.G._m.data)
     A = _place([(0, 0, Z1.A), (Z1.n_c, Z1.n_g, Z2.A), (n_c, 0, RG1), (n_c, Z1.n_g, neg_G2)],
-               (n_c + n_rows, n_g))
+               (n_c + Z2.dim, n_g))
     rhs = Z2.c - Rc1
     _check_finite("b", rhs)
     return ConZono._of_checked(G, Z1.c, A, np.concatenate([Z1.b, Z2.b, rhs]))
@@ -210,6 +208,9 @@ def zonotope_support(Z: ConZono, d):
 
 
 def rotation_matrix(theta):
+    """The planar rotation by theta, which must be finite (ValueError otherwise)."""
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     ct, st = np.cos(theta), np.sin(theta)
     return SparseMat(np.array([[ct, -st], [st, ct]]))
 

@@ -426,9 +426,24 @@ def _check_finite(name, values):
         raise ValueError(f"{name} has a NaN or infinite entry")
 
 
-def _matrix(m):
-    """A matrix argument as a SparseMat: one is returned as it is, anything else constructs one."""
-    return m if isinstance(m, SparseMat) else SparseMat(m)
+def _matrix(m, name=None, shape=None, symmetric=False, square=False):
+    """A matrix argument as a SparseMat: the one rule for every matrix. A SparseMat is kept as
+    it is (no copy), anything else constructs one; nameless, that is all. With a name, a NaN or
+    infinite entry, a shape other than ``shape`` (a None dimension is free; ``square`` asks for
+    (rows, rows)) and, when ``symmetric``, an asymmetric matrix raise ValueError naming ``name``,
+    checked in that order."""
+    m = m if isinstance(m, SparseMat) else SparseMat(m)
+    if name is None:
+        return m
+    _check_finite(name, m._m.data)
+    if square:
+        shape = (m.n_rows, m.n_rows)
+    if shape is not None and any(want not in (None, got) for got, want in zip(m.shape, shape)):
+        expected = ", ".join("*" if want is None else str(want) for want in shape)
+        raise ValueError(f"{name} of shape {m.shape} does not match ({expected})")
+    if symmetric and not m.is_symmetric():
+        raise ValueError(f"{name} is not symmetric within 1e-12 relative tolerance")
+    return m
 
 
 def _shape(dims):
@@ -590,14 +605,10 @@ def ldlt_factorize(m: SparseMat) -> LdltFactor:
 
     Raises RankDeficiencyError when a pivot magnitude falls to
     1e-12 * max|m| or below, which signals that the coupling rows are
-    not full row rank.
+    not full row rank. m is read by the matrix rule: square, symmetric
+    and finite.
     """
-    m = _matrix(m)
-    if m.n_rows != m.n_cols:
-        raise ValueError(f"cannot factorize non-square matrix of shape {m.shape}")
-    if not m.is_symmetric():
-        raise ValueError("matrix is not symmetric within 1e-12 relative tolerance")
-
+    m = _matrix(m, "m", square=True, symmetric=True)
     n = m.n_rows
     # the upper triangle: in each sorted column of M, the rows up to the diagonal
     Mp, Mi = m._m.indptr, m._m.indices

@@ -31,7 +31,7 @@ def unit_box(n=2):
 def test_conzono_validation():
     with pytest.raises(ValueError, match="^c of length 3 does not match 2"):
         ConZono(SparseMat(np.eye(2)), np.zeros(3))
-    with pytest.raises(ValueError, match="columns"):
+    with pytest.raises(ValueError, match=r"^A of shape \(1, 3\) does not match \(\*, 2\)$"):
         ConZono(SparseMat(np.eye(2)), np.zeros(2), SparseMat(np.ones((1, 3))), [0.0])
     with pytest.raises(ValueError, match="^b of length 2 does not match 1"):
         ConZono(SparseMat(np.eye(2)), np.zeros(2), SparseMat(np.ones((1, 2))), [0.0, 1.0])

@@ -976,7 +976,7 @@ def test_product_kernel_cancellation_and_empty_operands():
     for x, y in ((sp.csc_matrix((0, 4)), sp.csc_matrix((0, 2))), (a, a), (b, sp.csc_matrix((3, 1)))):
         with pytest.raises(ValueError, match="cannot multiply"):
             _matmul(x, y)
-    with pytest.raises(ValueError, match="cannot multiply"):
+    with pytest.raises(ValueError, match="^F_x of shape"):
         unroll(interval_to_zono(IntervalBox([0.0, 0.0], [1.0, 1.0])), SparseMat(np.ones((2, 3))),
                SparseMat.eye(2), [(interval_to_zono(IntervalBox([0.0, 0.0], [1.0, 1.0])),) * 2 + (np.zeros(2),)])
 

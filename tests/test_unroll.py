@@ -203,5 +203,5 @@ def test_unroll_rejects_mismatched_steps():
 def test_unroll_rejects_a_non_square_state_map():
     # W places [F_x F_m -I] from x_{k-1}'s first column, which only lines up for a square F_x
     X0, sys = second_order_scenario()
-    with pytest.raises(ValueError, match=r"cannot multiply \(2, 3\)"):
+    with pytest.raises(ValueError, match=r"^F_x of shape \(2, 3\) does not match \(2, 2\)$"):
         unroll(X0, SparseMat(np.ones((2, 3))), sys.B, [(sys.U, sys.S, np.zeros(2))])
