@@ -182,6 +182,13 @@ class AdmmResult:
     residuals: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
 
 
+@dataclass
+class _BoundedResult(AdmmResult):
+    """A support solve run with a gap, with its certified bound (see ``_iterate_batch``)."""
+
+    bound: float = math.inf
+
+
 def _residual_norms(rp, rd, norm):
     if norm == "inf":
         return (
@@ -201,7 +208,7 @@ def _thresholds(n_g, settings):
     return scale * settings.eps_primal, scale * settings.eps_dual
 
 
-def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, warm=None):
+def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, warm=None, gap=None):
     """Run the splitting iterations on linear costs, one per column of an n_G-row array.
 
     All columns share the saddle factorization and the constraint rhs;
@@ -210,6 +217,17 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     is built there; columns still running at max_iter end with
     "iteration-limit". Every step treats each column on its own, so results
     equal running the columns one at a time.
+
+    A gap is for support solves (zero quadratic cost, ``reduce_support``).
+    With one, each column keeps as its result's ``bound`` the running
+    minimum of the weak-duality bound b . y + ||-q~ - A^T y||_1 >=
+    max -q~ . xi over the feasible factors, at the multipliers y of each
+    saddle solve, rounded outward by a gamma_k bound on the error of its sums
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1). A
+    column also leaves, with status "bounded", once its bound is within gap
+    of its estimate -q~ . zeta - y . (A zeta - b), the Lagrangian at zeta: the
+    plain -q~ . zeta overshoots while zeta is far off the constraint rows.
+    gap -inf never stops a column.
     """
     n_g, n_c = reduced.n_g, reduced.n_c
     q_cols = np.asarray(q_tilde_cols, dtype=float)
@@ -226,15 +244,22 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     rhs = np.empty((n_g + n_c, m))
     rhs[n_g:] = reduced.Z.b[:, None]
     eps_p, eps_d = _thresholds(n_g, settings)
-    G, c = reduced.Z.G, reduced.Z.c
+    G, c, A, b = reduced.Z.G, reduced.Z.c, reduced.Z.A, reduced.Z.b
+    if gap is not None:
+        # |b| plus the row sums of |A|: weight . |y| bounds |b| . |y| + sum_j (|A|^T |y|)_j
+        weight = np.abs(b) + np.bincount(A._m.indices, np.abs(A._m.data), n_c)
+        gamma = _gamma(2 * (n_g + n_c + 2))
+        best = np.full(m, np.inf)
+    closed = False      # without a gap no column stops on its bound
 
     cols = np.arange(m)  # batch index of each running column
     history = np.empty((0, 2, m))  # primal and dual residual norms per iteration
     results = [None] * m
 
     def leave(i, status, certificate=None):
-        # column i of the running batch stops at iteration k
-        results[cols[i]] = AdmmResult(
+        # column i of the running batch stops at iteration k; with a gap it carries its bound
+        kind, bound = (AdmmResult, {}) if gap is None else (_BoundedResult, {"bound": float(best[i])})
+        results[cols[i]] = kind(
             status=status,
             x_star=G.matvec(zeta[:, i]) + c,
             xi=xi[:, i].copy(),
@@ -243,11 +268,13 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
             iterations=k + 1,
             certificate=certificate,
             residuals=history[:k + 1, :, i].copy(),
+            **bound,
         )
 
     for k in range(settings.max_iter):
         np.add(neg_q, rho * (zeta - u), out=rhs[:n_g])
-        xi = ldlt_solve(reduced.factor_m, rhs)[:n_g]
+        sol = ldlt_solve(reduced.factor_m, rhs)
+        xi = sol[:n_g]
         zeta_prev = zeta
         zeta = np.minimum(np.maximum(xi + u, -1.0), 1.0)    # the clip to the unit box
         u = u + xi - zeta
@@ -256,27 +283,43 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
             v, infeasible = _separation(reduced, xi, zeta)
         else:
             infeasible = np.zeros(len(cols), dtype=bool)
+        if gap is not None:
+            y = sol[n_g:]
+            slack = neg_q - A.rmatvec(y)
+            l1 = np.abs(slack).sum(axis=0)
+            best = np.minimum(best, b @ y + l1 + gamma * (weight @ np.abs(y) + l1))
+            closed = best - (b @ y + np.einsum("ij,ij->j", slack, zeta)) <= gap
 
         if k == len(history):
             history = np.concatenate([history, np.empty((k + 1, 2, len(cols)))])
         history[k] = _residual_norms(xi - zeta, rho * (zeta - zeta_prev), norm)
         converged = (history[k, 0] < eps_p) & (history[k, 1] < eps_d)
-        done = converged | infeasible
+        done = converged | infeasible | closed
         if not done.any():
             continue
         for i in infeasible.nonzero()[0]:
             leave(i, "infeasible", v[:, i].copy())
         for i in (converged & ~infeasible).nonzero()[0]:
             leave(i, "converged")
+        for i in (closed & ~converged & ~infeasible).nonzero()[0]:
+            leave(i, "bounded")
         if done.all():
             break
         keep = ~done
         cols, neg_q, rhs = cols[keep], neg_q[:, keep], rhs[:, keep]
         xi, zeta, u, history = xi[:, keep], zeta[:, keep], u[:, keep], history[:, :, keep]
+        if gap is not None:
+            best = best[keep]
     else:
         for i in range(len(cols)):
             leave(i, "iteration-limit")
     return results
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative error bound of a k-term sum."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1.0 - ku)
 
 
 def admm_solve(reduced: ReducedQp, settings: AdmmSettings = AdmmSettings(),
@@ -398,10 +441,13 @@ def reduce_support(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> Reduc
 
 
 def support_batch(Z: ConZono, directions, settings: AdmmSettings = AdmmSettings()):
-    """Support values for directions given as the columns of a Z.dim-row array.
+    """Support estimates for directions given as the columns of a Z.dim-row array.
 
-    All directions share one factorization of the zero-cost problem,
-    reduced with settings.rho. Constraint rows with no stored entry follow
+    Each value is d . x_star at the iterate where its solve converged, an
+    estimate within the solver tolerance that may lie on either side of
+    the exact value; ``bounding_box`` gives certified bounds. All
+    directions share one factorization of the zero-cost problem, reduced
+    with settings.rho. Constraint rows with no stored entry follow
     ``check_empty``'s rule, and a nonzero rhs there raises EmptySetError.
     Raises ValueError when the array does not have Z.dim rows or holds a
     non-finite entry; rows are never read as directions.
@@ -411,33 +457,44 @@ def support_batch(Z: ConZono, directions, settings: AdmmSettings = AdmmSettings(
         raise ValueError(f"directions of shape {D.shape} do not match shape ({Z.dim}, m): "
                          "one direction per column")
     _check_finite("directions", D)
+    results = _support_solves(Z, D, settings)
+    return np.array([float(D[:, j] @ result.x_star) for j, result in enumerate(results)])
+
+
+def _support_solves(Z: ConZono, D, settings: AdmmSettings, gap=None):
+    """One support solve per column of D, sharing one factorization; see ``_iterate_batch``
+    for gap. Raises EmptySetError on a certificate and IndeterminateResultError at max_iter."""
     kept = _without_empty_rows(Z)
     if kept is None:
         raise EmptySetError("support of an empty set")
-    reduced = reduce_support(kept, settings)
-    q_cols = -Z.G.rmatvec(D)
-    results = _iterate_batch(reduced, q_cols, settings)
-    values = np.empty(D.shape[1])
-    for j, result in enumerate(results):
+    results = _iterate_batch(reduce_support(kept, settings), -Z.G.rmatvec(D), settings, gap=gap)
+    for result in results:
         if result.status == "infeasible":
             raise EmptySetError("support of an empty set")
-        if result.status != "converged":
+        if result.status == "iteration-limit":
             raise IndeterminateResultError(
                 f"support solve did not converge within {settings.max_iter} iterations"
             )
-        values[j] = float(D[:, j] @ result.x_star)
-    return values
+    return results
 
 
 def bounding_box(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> IntervalBox:
-    """Axis-aligned interval enclosure from 2n support evaluations.
+    """Certified axis-aligned enclosure from 2n support solves.
 
-    All 2n solves share one factorization. Raises EmptySetError when an
-    emptiness certificate fires.
+    Each side is a weak-duality bound, rounded outward, that no point of Z
+    crosses whatever the tolerance; the tolerance sets only how close the
+    sides lie to the exact box. All 2n solves share one factorization and
+    stop on convergence. Raises EmptySetError when an emptiness certificate
+    fires.
     """
+    return _certified_box(Z, settings, -math.inf)
+
+
+def _certified_box(Z: ConZono, settings: AdmmSettings, gap):
+    """``bounding_box`` whose support solves also stop once their bound is within gap of
+    their estimate."""
     n = Z.dim
-    directions = np.hstack([np.eye(n), -np.eye(n)])
-    values = support_batch(Z, directions, settings)
-    upper = values[:n]
-    lower = -values[n:]
-    return IntervalBox(np.minimum(lower, upper), np.maximum(lower, upper))
+    results = _support_solves(Z, np.hstack([np.eye(n), -np.eye(n)]), settings, gap)
+    bound = np.array([result.bound for result in results])
+    # -q~ = G^T d is exact for d = +-e_i, so only adding d . c = +-c_i rounds here
+    return IntervalBox(np.nextafter(Z.c - bound[n:], -np.inf), np.nextafter(Z.c + bound[:n], np.inf))

@@ -357,7 +357,7 @@ def run_mhe_simulation(seed=0, steps=40, settings: AdmmSettings = AdmmSettings()
     The applied input gently regulates the true velocity so the plant
     stays well inside its domain set for every seed. The window prior
     advances one measurement-update step once the window is full and is
-    replaced by its padded bounding box every 10 steps.
+    replaced by its certified bounding box every 10 steps.
     """
     steps = _count(steps, "steps", 1)
     sc = mhe_scenario()

@@ -37,6 +37,7 @@ from oracles import (
     certificate_is_valid,
     lp_contains,
     lp_is_empty,
+    lp_support,
     random_conzono,
     random_zonotope,
 )
@@ -537,6 +538,17 @@ def test_bounding_box_contains_sampled_points(rng):
         x = Z.point(xi)
         assert np.all(x >= box.lo - 1e-4) and np.all(x <= box.hi + 1e-4)
     assert kept > 100
+
+
+def test_bounding_box_contains_the_exact_box_at_any_tolerance(rng):
+    # the sides are weak-duality bounds, so a loose tolerance widens the box but never
+    # cuts into the set (support estimates at eps 0.1 fell 0.23 inside it)
+    for eps in (1e-1, 1e-2):
+        for _ in range(4):
+            Z = random_conzono(rng, 3)
+            box = bounding_box(Z, AdmmSettings(eps_primal=eps, eps_dual=eps, max_iter=50000))
+            for i, d in enumerate(np.eye(3)):
+                assert box.hi[i] >= lp_support(Z, d) - 1e-9 and box.lo[i] <= -lp_support(Z, -d) + 1e-9
 
 
 def test_bounding_box_empty_raises():

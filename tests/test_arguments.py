@@ -236,3 +236,21 @@ _NAN_A = np.array([[np.nan, 1.0], [0.0, 1.0]])
 def test_matrix_arguments_once_accepted_or_misreported_raise(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _mhe(prior_set=BOX3), "prior_set has dimension 3, expected 2"),
+    (lambda: _mhe(V=BOX3), "V has dimension 3, expected 2"),
+    (lambda: _mhe3(V=BOX), "V has dimension 2, expected 3"),
+    (lambda: _mhe(W=BOX3), "W has dimension 3, expected 2"),
+    (lambda: safety_verify(SYS, np.zeros((1, 2)), [np.zeros(2)], BOX, BOX3, BOX, np.eye(2), 1),
+     "X0 has dimension 3, expected 2"),
+    (lambda: safety_verify(SYS, np.zeros((1, 2)), [np.zeros(2)], BOX3, BOX, BOX, np.eye(2), 1),
+     "W has dimension 3, expected 2"),
+], ids=["MheSpec-prior_set", "MheSpec-V", "MheSpec-V-three-outputs", "MheSpec-W", "safety_verify-X0",
+        "safety_verify-W"])
+def test_set_of_another_dimension_rejected_by_name(call, message):
+    # each was accepted, or blamed on another argument: a 3-D prior built a 7-D Z, a 3-D V
+    # raised "R of shape (2, 2) does not match (3, 2)", a 3-D X0 one about R_map
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -10,6 +10,7 @@ from conzopt import (
     QpProblem,
     SparseMat,
     admm_solve,
+    bounding_box,
     build_mhe,
     build_mpc,
     extract_trajectory,
@@ -259,6 +260,31 @@ def test_reduce_prior_box_contains_set(rng):
     for k in range(8):
         d = np.array([np.cos(k * np.pi / 4), np.sin(k * np.pi / 4)])
         assert lp_support(boxed, d) >= lp_support(X, d) - 1e-9
+
+
+def test_prior_boxes_bound_the_exact_box_on_mhe_runs(monkeypatch):
+    # the sets run_mhe_simulation reduces (4 per run); each side of bounding_box, with no pad,
+    # at the tolerance reduce_prior once used, and of reduce_prior's box must lie outside
+    # the set's exact LP box (an estimate fell 0.019 inside it; 1e-9 is the LP's accuracy,
+    # as in the test above), reduce_prior's by at most 0.1
+    import conzopt.scenarios as scenarios
+
+    inputs = []
+    monkeypatch.setattr(scenarios, "reduce_prior", lambda X: inputs.append(X) or reduce_prior(X))
+    for seed in range(3):
+        scenarios.run_mhe_simulation(seed=seed, steps=40)
+    assert len(inputs) == 12
+    loose = AdmmSettings(eps_primal=1e-3, eps_dual=1e-3, max_iter=50000)
+    for X in inputs:
+        n = X.dim
+        hi = np.array([lp_support(X, d) for d in np.eye(n)])
+        lo = -np.array([lp_support(X, -d) for d in np.eye(n)])
+        box = bounding_box(X, loose)
+        assert np.all(box.hi >= hi - 1e-9) and np.all(box.lo <= lo + 1e-9)
+        boxed = reduce_prior(X)
+        reach = np.abs(boxed.G.toarray()).sum(axis=1)    # boxed is the zonotope of a box
+        assert np.all(boxed.c + reach >= hi - 1e-9) and np.all(boxed.c - reach <= lo + 1e-9)
+        assert np.all(boxed.c + reach <= hi + 0.1) and np.all(boxed.c - reach >= lo - 0.1)
 
 
 def _safety_pieces(obstacle_center=(4.0, 0.0)):
