@@ -2,8 +2,8 @@
 
 Set calculus for zonotopes and constrained zonotopes, reachability
 recursions that keep the defining matrices sparse, an operator-splitting
-QP solver over those sets with an emptiness certificate (a separating
-vector tested in floating point as computed), and builders for
+QP solver over those sets with an emptiness certificate (a Farkas test
+rounded outward, so it holds in floating point), and builders for
 predictive-control, estimation, and safety-verification problems.
 """
 

@@ -6,14 +6,12 @@ space of Z, where the feasible set is the intersection of an affine set
 equality-constrained quadratic solve against a box clamp; because the
 factors are normalized to [-1, 1], no preconditioning is applied.
 
-Emptiness of the affine/box intersection is certified by one check,
-shared by the iteration loop and ``infeasibility_check``: one solve with
-the saddle factor, the only factorization a problem needs, maps the
-iterate gap zeta - xi to its H-weighted projection v onto the row space
-of the constraints (H = P~ + rho I; the Euclidean projection when
-P~ = sigma I). v separates the two sets when its inner product with the
-affine point xi falls strictly outside [-||v||_1, ||v||_1], its range
-over the box. The test compares floating-point values as computed.
+Every certificate is one weak-duality inequality rounded outward
+(``_dual_terms``): for multipliers y, b . y + ||-q~ - A^T y||_1 bounds
+max -q~ . xi over the feasible factors. Support bounds read it as is;
+emptiness is its zero-cost case, |b . y| > ||A^T y||_1 (Farkas), tested by
+the iteration loop and ``infeasibility_check`` alike on the y of one solve
+with the saddle factor, the only factorization a problem needs.
 """
 
 from __future__ import annotations
@@ -218,16 +216,13 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     "iteration-limit". Every step treats each column on its own, so results
     equal running the columns one at a time.
 
-    A gap is for support solves (zero quadratic cost, ``reduce_support``).
-    With one, each column keeps as its result's ``bound`` the running
-    minimum of the weak-duality bound b . y + ||-q~ - A^T y||_1 >=
-    max -q~ . xi over the feasible factors, at the multipliers y of each
-    saddle solve, rounded outward by a gamma_k bound on the error of its sums
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1). A
-    column also leaves, with status "bounded", once its bound is within gap
-    of its estimate -q~ . zeta - y . (A zeta - b), the Lagrangian at zeta: the
-    plain -q~ . zeta overshoots while zeta is far off the constraint rows.
-    gap -inf never stops a column.
+    Every k_inf-th iteration runs ``_separation``. A gap is for support
+    solves (zero quadratic cost, ``reduce_support``). With one, each column
+    keeps as its result's ``bound`` the running minimum of ``_dual_terms``'
+    bound at the multipliers y of each saddle solve, and leaves with status
+    "bounded" once that is within gap of its estimate -q~ . zeta - y . (A zeta - b),
+    the Lagrangian at zeta: the plain -q~ . zeta overshoots while zeta is
+    far off the constraint rows. gap -inf never stops a column.
     """
     n_g, n_c = reduced.n_g, reduced.n_c
     q_cols = np.asarray(q_tilde_cols, dtype=float)
@@ -244,11 +239,9 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     rhs = np.empty((n_g + n_c, m))
     rhs[n_g:] = reduced.Z.b[:, None]
     eps_p, eps_d = _thresholds(n_g, settings)
-    G, c, A, b = reduced.Z.G, reduced.Z.c, reduced.Z.A, reduced.Z.b
+    G, c, A = reduced.Z.G, reduced.Z.c, reduced.Z.A
     if gap is not None:
-        # |b| plus the row sums of |A|: weight . |y| bounds |b| . |y| + sum_j (|A|^T |y|)_j
-        weight = np.abs(b) + np.bincount(A._m.indices, np.abs(A._m.data), n_c)
-        gamma = _gamma(2 * (n_g + n_c + 2))
+        weight = _weight(reduced.Z)
         best = np.full(m, np.inf)
     closed = False      # without a gap no column stops on its bound
 
@@ -286,9 +279,9 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
         if gap is not None:
             y = sol[n_g:]
             slack = neg_q - A.rmatvec(y)
-            l1 = np.abs(slack).sum(axis=0)
-            best = np.minimum(best, b @ y + l1 + gamma * (weight @ np.abs(y) + l1))
-            closed = best - (b @ y + np.einsum("ij,ij->j", slack, zeta)) <= gap
+            by, l1, err = _dual_terms(reduced.Z, y, slack, weight)
+            best = np.minimum(best, by + l1 + err)
+            closed = best - (by + np.einsum("ij,ij->j", slack, zeta)) <= gap
 
         if k == len(history):
             history = np.concatenate([history, np.empty((k + 1, 2, len(cols)))])
@@ -322,6 +315,22 @@ def _gamma(k):
     return ku / (1.0 - ku)
 
 
+def _weight(Z: ConZono):
+    """|b| plus the row sums of |A|: weight . |y| bounds |b| . |y| + sum_j (|A|^T |y|)_j."""
+    return np.abs(Z.b) + np.bincount(Z.A._m.indices, np.abs(Z.A._m.data), Z.n_c)
+
+
+def _dual_terms(Z: ConZono, y, slack, weight):
+    """b . y, ||slack||_1 and a bound on the rounding of their sum, per column of y.
+
+    For slack = -q~ - A^T y, weak duality bounds -q~ . xi on the feasible factors by
+    b . y + ||slack||_1; adding gamma_k (weight . |y| + ||slack||_1), weight = ``_weight(Z)``,
+    rounds it outward (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
+    """
+    l1 = np.abs(slack).sum(axis=0)
+    return Z.b @ y, l1, _gamma(2 * (Z.n_g + Z.n_c + 2)) * (weight @ np.abs(y) + l1)
+
+
 def admm_solve(reduced: ReducedQp, settings: AdmmSettings = AdmmSettings(),
                q_tilde=None, warm=None) -> AdmmResult:
     """Solve the reduced problem; optionally override the linear cost.
@@ -337,28 +346,27 @@ def admm_solve(reduced: ReducedQp, settings: AdmmSettings = AdmmSettings(),
 
 
 def _separation(reduced: ReducedQp, xi, zeta):
-    """The certificate check on a batch of iterate pairs (one per column).
+    """The emptiness check on a batch of iterate pairs (one per column).
 
     One solve M [x; y] = [zeta - xi; 0] gives v = A^T y = zeta - xi - H x
     with A x = 0: the H-weighted projection of zeta - xi onto the
     constraint row space (the Euclidean one when H is a multiple of I).
-    Returns v and, per column, whether v . xi (xi satisfies the constraint
-    rows) lies strictly outside [-||v||_1, ||v||_1], the range of v over
-    the unit box.
+    Returns v and, per column, whether |b . y| > ||v||_1 plus the rounding term of
+    ``_dual_terms``: then v . xi = b . y separates the constraint rows from the unit box.
     """
     rhs = np.zeros((reduced.n_g + reduced.n_c, xi.shape[1]))
     np.subtract(zeta, xi, out=rhs[:reduced.n_g])
-    v = reduced.Z.A.rmatvec(ldlt_solve(reduced.factor_m, rhs)[reduced.n_g:])
-    vals = np.einsum("ij,ij->j", v, xi)
-    radius = np.abs(v).sum(axis=0)
-    return v, (vals < -radius) | (vals > radius)
+    y = ldlt_solve(reduced.factor_m, rhs)[reduced.n_g:]
+    v = reduced.Z.A.rmatvec(y)
+    by, l1, err = _dual_terms(reduced.Z, y, v, _weight(reduced.Z))
+    return v, np.abs(by) > l1 + err
 
 
 def infeasibility_check(reduced: ReducedQp, xi, zeta):
     """Emptiness certificate from one iterate pair, or None.
 
-    Runs the solver's certificate check on the single column (xi, zeta)
-    and returns the separating projection when it fires.
+    Runs the solver's emptiness check (``_separation``) on the single
+    column (xi, zeta) and returns its separating vector A^T y when it fires.
     """
     v, outside = _separation(reduced, _vector(xi, reduced.n_g, "xi").reshape(-1, 1),
                              _vector(zeta, reduced.n_g, "zeta").reshape(-1, 1))
@@ -387,9 +395,9 @@ def check_empty(Z: ConZono, settings: AdmmSettings = AdmmSettings()) -> AdmmResu
     if any such b_i is nonzero, Z is empty and the result is "infeasible"
     at 0 iterations with no certificate; otherwise those rows are dropped,
     and a set with no row left is "converged" at 0 iterations. Any other
-    "infeasible" carries the solver's certificate. Dependent rows among
-    the rest, which ``generalized_intersection`` makes from dependent
-    generator rows, raise RankDeficiencyError.
+    "infeasible" carries A^T y of ``_separation``'s rounded Farkas test.
+    Dependent rows among the rest, which ``generalized_intersection`` makes
+    from dependent generator rows, raise RankDeficiencyError.
     """
     kept = _without_empty_rows(Z)
     if kept is None or kept.n_c == 0:

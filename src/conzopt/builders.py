@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from .admm import AdmmSettings, _certified_box, check_empty
-from .reach import LinearSystem, _fused_domains, _last_block, unroll
+from .reach import LinearSystem, _check_dims, _fused_domains, _last_block, unroll
 from .sets import ConZono, generalized_intersection, interval_to_zono, point_set
 from .sets import cartesian_product  # noqa: F401  (perfbench/tests patch it under this name)
 from .sparse import SparseMat, _add, _count, _matmul, _matrix, _transpose, _vector, blkdiag, multiply
@@ -157,13 +157,6 @@ class MheSpec:
                     ("prior_set", self.prior_set, n_x))
         for name, n in (("prior_info", n_x), ("Q_inv", n_x), ("R_inv", self.sys.C.n_rows)):
             object.__setattr__(self, name, _matrix(getattr(self, name), name, (n, n), symmetric=True))
-
-
-def _check_dims(*sets):
-    """Raise ValueError naming the first (name, set, dimension) whose set has another dimension."""
-    for name, Z, n in sets:
-        if Z.dim != n:
-            raise ValueError(f"{name} has dimension {Z.dim}, expected {n}")
 
 
 def build_mhe(spec: MheSpec):

@@ -61,10 +61,7 @@ class LinearSystem:
         object.__setattr__(self, "B", _matrix(self.B, "B", (A.n_rows, None)))
         if self.C is not None:
             object.__setattr__(self, "C", _matrix(self.C, "C", (None, A.n_rows)))
-        if self.S.dim != self.n_x:
-            raise ValueError(f"state domain set has dimension {self.S.dim}, expected {self.n_x}")
-        if self.U.dim != self.n_u:
-            raise ValueError(f"input domain set has dimension {self.U.dim}, expected {self.n_u}")
+        _check_dims(("S", self.S, self.n_x), ("U", self.U, self.n_u))
 
     @property
     def n_x(self):
@@ -75,9 +72,11 @@ class LinearSystem:
         return self.B.n_cols
 
 
-def _check_x0(X0: ConZono, sys: LinearSystem):
-    if X0.dim != sys.n_x:
-        raise ValueError(f"initial set has dimension {X0.dim}, expected {sys.n_x}")
+def _check_dims(*sets):
+    """Raise ValueError naming the first (name, set, dimension) whose set has another dimension."""
+    for name, Z, n in sets:
+        if Z.dim != n:
+            raise ValueError(f"{name} has dimension {Z.dim}, expected {n}")
 
 
 def unroll(Z0: ConZono, F_x, F_m, steps) -> ConZono:
@@ -137,7 +136,7 @@ def _last_block(Z: ConZono, n) -> ConZono:
 
 def reach_standard(X0: ConZono, sys: LinearSystem, N):
     """Reachable sets X_0..X_N by the direct image/sum recursion."""
-    _check_x0(X0, sys)
+    _check_dims(("X0", X0, sys.n_x))
     sets = [X0]
     for _ in range(_count(N, "horizon")):
         propagated = minkowski_sum(affine_map(sys.A, sets[-1]), affine_map(sys.B, sys.U))
@@ -161,7 +160,7 @@ def reach_graph(X0: ConZono, sys: LinearSystem, N):
     (X_k x U) through the selector of its first two blocks and projects
     onto the image block.
     """
-    _check_x0(X0, sys)
+    _check_dims(("X0", X0, sys.n_x))
     n_x, n_u = sys.n_x, sys.n_u
     psi = _graph_set(sys)
     select_xu = hcat(SparseMat.eye(n_x + n_u), SparseMat.zeros(n_x + n_u, n_x))
@@ -179,7 +178,7 @@ def reach_sparse(X0: ConZono, sys: LinearSystem, N):
     [A B -I] against the origin, projected onto the S block; the iterate
     generator matrix is always [0 0 G_S].
     """
-    _check_x0(X0, sys)
+    _check_dims(("X0", X0, sys.n_x))
     sets = [X0]
     for _ in range(_count(N, "horizon")):
         pinned = unroll(sets[-1], sys.A, sys.B, [(sys.U, sys.S, np.zeros(sys.n_x))])
@@ -195,9 +194,8 @@ def svse_step_standard(Xk: ConZono, sys: LinearSystem, W: ConZono, V: ConZono, u
     """
     if sys.C is None:
         raise ValueError("system has no measurement map")
+    _check_dims(("Xk", Xk, sys.n_x), ("W", W, sys.n_x), ("V", V, sys.C.n_rows))
     u, y_next = _vector(u, sys.n_u, "u"), _vector(y_next, sys.C.n_rows, "measurement")
-    if W.dim != sys.n_x:
-        raise ValueError(f"process noise set has dimension {W.dim}, expected {sys.n_x}")
     propagated = minkowski_sum(affine_map(sys.A, Xk, sys.B.matvec(u)), W)
     meas_set = affine_map(SparseMat.eye(V.dim, -1.0), V, y_next)
     fused = generalized_intersection(propagated, meas_set, sys.C)
@@ -212,6 +210,7 @@ def svse_step_sparse(Xk: ConZono, sys: LinearSystem, W: ConZono, V: ConZono, u, 
     """
     if sys.C is None:
         raise ValueError("system has no measurement map")
+    _check_dims(("Xk", Xk, sys.n_x), ("W", W, sys.n_x), ("V", V, sys.C.n_rows))
     u = _vector(u, sys.n_u, "u")
     [(_, D)] = _fused_domains(sys, V, [y_next], ["measurement"])
     pinned = unroll(Xk, sys.A, SparseMat.eye(sys.n_x), [(W, D, -sys.B.matvec(u))])

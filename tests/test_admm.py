@@ -446,6 +446,36 @@ def test_qp_mode_certificates_lie_in_row_space_and_separate(rng):
         assert certificate_is_valid(Z, v)
 
 
+def _touching_boxes(rng):
+    # a dyadic box under a dyadic diagonal map R, intersected through R with a dyadic box
+    # that touches its image on one face or at a corner: every entry and the one common
+    # face or point are exact, so the set is nonempty in floating point too
+    n = int(rng.integers(1, 4))
+    lo = rng.integers(-16, 16, size=n) / 8
+    hi = lo + rng.integers(1, 17, size=n) / 8
+    scale = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0], size=n)
+    image_lo, image_hi = np.minimum(scale * lo, scale * hi), np.maximum(scale * lo, scale * hi)
+    touch = np.ones(n, bool) if rng.random() < 0.5 else np.arange(n) == rng.integers(n)
+    width = rng.integers(1, 17, size=n) / 8
+    mid = (image_lo + image_hi) / 2
+    lo2 = np.where(touch, np.where(rng.random(n) < 0.5, image_hi, image_lo - width), mid - width)
+    return generalized_intersection(interval_to_zono(IntervalBox(lo, hi)),
+                                    interval_to_zono(IntervalBox(lo2, lo2 + width)), np.diag(scale))
+
+
+def test_no_certificate_on_touching_boxes(rng):
+    # each set is a face or a point, nonempty in exact arithmetic, so |b . y| <= ||A^T y||_1
+    # for every y, with equality at the touching ones: only a test blind to rounding fires
+    sets = [_touching_boxes(rng) for _ in range(60)]
+    sets += [generalized_intersection(interval_to_zono(IntervalBox([0.0, 0.0], [1.0, 3.0])),
+                                      interval_to_zono(IntervalBox([1.0, 3.0], [2.0, 4.0]))),
+             interval_pair(0.0, 0.5, 0.5, 2.0)]
+    for Z in sets:
+        assert not lp_is_empty(Z)
+        assert check_empty(Z, AdmmSettings(k_inf=1)).status == "converged"
+        assert not is_empty(Z)
+
+
 # ---------------------------------------------------------------------------
 # queries
 

@@ -31,6 +31,8 @@ from conzopt import (
     interval_to_zono,
     ldlt_factorize,
     point_set,
+    reach_graph,
+    reach_sparse,
     reach_standard,
     rotation_matrix,
     safety_verify,
@@ -247,10 +249,27 @@ def test_matrix_arguments_once_accepted_or_misreported_raise(call, message):
      "X0 has dimension 3, expected 2"),
     (lambda: safety_verify(SYS, np.zeros((1, 2)), [np.zeros(2)], BOX3, BOX, BOX, np.eye(2), 1),
      "W has dimension 3, expected 2"),
+    (lambda: LinearSystem(SYS.A, SYS.B, BOX3, SYS.U), "S has dimension 3, expected 2"),
+    (lambda: LinearSystem(SYS.A, SYS.B, SYS.S, BOX), "U has dimension 2, expected 1"),
+    (lambda: reach_standard(BOX3, SYS, 1), "X0 has dimension 3, expected 2"),
+    (lambda: reach_graph(BOX3, SYS, 1), "X0 has dimension 3, expected 2"),
+    (lambda: reach_sparse(BOX3, SYS, 1), "X0 has dimension 3, expected 2"),
+    (lambda: svse_step_standard(BOX3, SYS, BOX, BOX, np.zeros(1), np.zeros(2)), "Xk has dimension 3, expected 2"),
+    (lambda: svse_step_standard(BOX, SYS, BOX3, BOX, np.zeros(1), np.zeros(2)), "W has dimension 3, expected 2"),
+    (lambda: svse_step_standard(BOX, SYS, BOX, BOX3, np.zeros(1), np.zeros(3)), "V has dimension 3, expected 2"),
+    (lambda: svse_step_standard(BOX, SYS3, BOX, BOX, np.zeros(2), np.zeros(2)), "V has dimension 2, expected 3"),
+    (lambda: svse_step_sparse(BOX3, SYS, BOX, BOX, np.zeros(1), np.zeros(2)), "Xk has dimension 3, expected 2"),
+    (lambda: svse_step_sparse(BOX, SYS, BOX3, BOX, np.zeros(1), np.zeros(2)), "W has dimension 3, expected 2"),
+    (lambda: svse_step_sparse(BOX, SYS, BOX, BOX3, np.zeros(1), np.zeros(3)), "V has dimension 3, expected 2"),
+    (lambda: svse_step_sparse(BOX, SYS3, BOX, BOX, np.zeros(2), np.zeros(2)), "V has dimension 2, expected 3"),
 ], ids=["MheSpec-prior_set", "MheSpec-V", "MheSpec-V-three-outputs", "MheSpec-W", "safety_verify-X0",
-        "safety_verify-W"])
+        "safety_verify-W", "LinearSystem-S", "LinearSystem-U", "reach_standard-X0", "reach_graph-X0",
+        "reach_sparse-X0", "svse_step_standard-Xk", "svse_step_standard-W", "svse_step_standard-V",
+        "svse_step_standard-V-three-outputs", "svse_step_sparse-Xk", "svse_step_sparse-W", "svse_step_sparse-V",
+        "svse_step_sparse-V-three-outputs"])
 def test_set_of_another_dimension_rejected_by_name(call, message):
     # each was accepted, or blamed on another argument: a 3-D prior built a 7-D Z, a 3-D V
-    # raised "R of shape (2, 2) does not match (3, 2)", a 3-D X0 one about R_map
+    # raised "R of shape (2, 2) does not match (3, 2)", a 3-D X0 one about R_map; the steps
+    # read the sets before any vector, so a V that fits its measurement is still named
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
