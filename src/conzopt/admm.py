@@ -189,10 +189,7 @@ class _BoundedResult(AdmmResult):
 
 def _residual_norms(rp, rd, norm):
     if norm == "inf":
-        return (
-            np.max(np.abs(rp), axis=0) if rp.size else np.zeros(rp.shape[1]),
-            np.max(np.abs(rd), axis=0) if rd.size else np.zeros(rd.shape[1]),
-        )
+        return np.max(np.abs(rp), axis=0, initial=0.0), np.max(np.abs(rd), axis=0, initial=0.0)
     return (
         np.sqrt(np.einsum("ij,ij->j", rp, rp)),
         np.sqrt(np.einsum("ij,ij->j", rd, rd)),
@@ -206,27 +203,31 @@ def _thresholds(n_g, settings):
     return scale * settings.eps_primal, scale * settings.eps_dual
 
 
+_STATUSES = ("running", "infeasible", "converged", "bounded", "iteration-limit")
+_RUNNING, _INFEASIBLE, _CONVERGED, _BOUNDED, _LIMIT = range(len(_STATUSES))
+
+
 def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, warm=None, gap=None):
     """Run the splitting iterations on linear costs, one per column of an n_G-row array.
 
-    All columns share the saddle factorization and the constraint rhs;
-    each column carries its own iterates. A column leaves the batch at the
-    iteration where it converges or is certified infeasible, and its result
-    is built there; columns still running at max_iter end with
-    "iteration-limit". Every step treats each column on its own, so results
-    equal running the columns one at a time.
+    All columns share the saddle factorization and the constraint rhs; each
+    column carries its own iterates. Each iteration gives every running
+    column one status, the first that applies: "infeasible" (``_separation``,
+    every k_inf-th iteration), "converged", "bounded" (below), and
+    "iteration-limit" at max_iter; a column with a status leaves the batch
+    with its result, whose status, iterations and iterates equal a lone run's.
 
-    Every k_inf-th iteration runs ``_separation``. A gap is for support
-    solves (zero quadratic cost, ``reduce_support``). With one, each column
-    keeps as its result's ``bound`` the running minimum of ``_dual_terms``'
-    bound at the multipliers y of each saddle solve, and leaves with status
+    A gap is for support solves (zero quadratic cost, ``reduce_support``).
+    With one, each column keeps as its ``bound`` the running minimum of
+    ``_dual_terms``' bound at each saddle solve's multipliers y, and is
     "bounded" once that is within gap of its estimate -q~ . zeta - y . (A zeta - b),
-    the Lagrangian at zeta: the plain -q~ . zeta overshoots while zeta is
-    far off the constraint rows. gap -inf never stops a column.
+    the Lagrangian at zeta (-q~ . zeta alone overshoots while zeta is far off
+    the constraint rows); gap -inf never stops a column. The bound's last bits
+    may differ from a lone run's (numpy sums a batch in another order); both round outward.
     """
     n_g, n_c = reduced.n_g, reduced.n_c
-    q_cols = np.asarray(q_tilde_cols, dtype=float)
-    m = q_cols.shape[1]
+    neg_q = -np.asarray(q_tilde_cols, dtype=float)
+    m = neg_q.shape[1]
     rho, norm = reduced.rho, settings.norm
     k_inf = settings.k_inf if n_c > 0 else 0    # 0: no constraint rows, so no certificate check
 
@@ -235,35 +236,17 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     else:
         xi, zeta, u = (np.array(np.broadcast_to(w.reshape(n_g, -1), (n_g, m))) for w in warm)
 
-    neg_q = -q_cols
     rhs = np.empty((n_g + n_c, m))
     rhs[n_g:] = reduced.Z.b[:, None]
     eps_p, eps_d = _thresholds(n_g, settings)
     G, c, A = reduced.Z.G, reduced.Z.c, reduced.Z.A
+    best = np.full(m, np.inf)  # each column's running bound, with a gap
     if gap is not None:
         weight = _weight(reduced.Z)
-        best = np.full(m, np.inf)
-    closed = False      # without a gap no column stops on its bound
 
     cols = np.arange(m)  # batch index of each running column
     history = np.empty((0, 2, m))  # primal and dual residual norms per iteration
     results = [None] * m
-
-    def leave(i, status, certificate=None):
-        # column i of the running batch stops at iteration k; with a gap it carries its bound
-        kind, bound = (AdmmResult, {}) if gap is None else (_BoundedResult, {"bound": float(best[i])})
-        results[cols[i]] = kind(
-            status=status,
-            x_star=G.matvec(zeta[:, i]) + c,
-            xi=xi[:, i].copy(),
-            zeta=zeta[:, i].copy(),
-            u=u[:, i].copy(),
-            iterations=k + 1,
-            certificate=certificate,
-            residuals=history[:k + 1, :, i].copy(),
-            **bound,
-        )
-
     for k in range(settings.max_iter):
         np.add(neg_q, rho * (zeta - u), out=rhs[:n_g])
         sol = ldlt_solve(reduced.factor_m, rhs)
@@ -272,40 +255,37 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
         zeta = np.minimum(np.maximum(xi + u, -1.0), 1.0)    # the clip to the unit box
         u = u + xi - zeta
 
-        if k_inf and k % k_inf == 0:
-            v, infeasible = _separation(reduced, xi, zeta)
-        else:
-            infeasible = np.zeros(len(cols), dtype=bool)
+        checked = k_inf and k % k_inf == 0
+        v, infeasible = _separation(reduced, xi, zeta) if checked else (None, np.zeros(len(cols), bool))
+        # a code into _STATUSES per column; each test overwrites the ones before it
+        status = np.full(len(cols), _LIMIT if k == settings.max_iter - 1 else _RUNNING)
         if gap is not None:
             y = sol[n_g:]
             slack = neg_q - A.rmatvec(y)
             by, l1, err = _dual_terms(reduced.Z, y, slack, weight)
             best = np.minimum(best, by + l1 + err)
-            closed = best - (by + np.einsum("ij,ij->j", slack, zeta)) <= gap
+            status[best - (by + np.einsum("ij,ij->j", slack, zeta)) <= gap] = _BOUNDED
 
         if k == len(history):
             history = np.concatenate([history, np.empty((k + 1, 2, len(cols)))])
         history[k] = _residual_norms(xi - zeta, rho * (zeta - zeta_prev), norm)
-        converged = (history[k, 0] < eps_p) & (history[k, 1] < eps_d)
-        done = converged | infeasible | closed
-        if not done.any():
+        status[(history[k, 0] < eps_p) & (history[k, 1] < eps_d)] = _CONVERGED
+        status[infeasible] = _INFEASIBLE
+
+        keep = status == _RUNNING
+        if keep.all():
             continue
-        for i in infeasible.nonzero()[0]:
-            leave(i, "infeasible", v[:, i].copy())
-        for i in (converged & ~infeasible).nonzero()[0]:
-            leave(i, "converged")
-        for i in (closed & ~converged & ~infeasible).nonzero()[0]:
-            leave(i, "bounded")
-        if done.all():
+        for i in np.flatnonzero(~keep):
+            kind, bound = (AdmmResult, {}) if gap is None else (_BoundedResult, {"bound": float(best[i])})
+            results[cols[i]] = kind(
+                status=_STATUSES[status[i]], x_star=G.matvec(zeta[:, i]) + c,
+                xi=xi[:, i].copy(), zeta=zeta[:, i].copy(), u=u[:, i].copy(), iterations=k + 1,
+                certificate=v[:, i].copy() if status[i] == _INFEASIBLE else None,
+                residuals=history[:k + 1, :, i].copy(), **bound)
+        if not keep.any():
             break
-        keep = ~done
-        cols, neg_q, rhs = cols[keep], neg_q[:, keep], rhs[:, keep]
+        cols, neg_q, rhs, best = cols[keep], neg_q[:, keep], rhs[:, keep], best[keep]
         xi, zeta, u, history = xi[:, keep], zeta[:, keep], u[:, keep], history[:, :, keep]
-        if gap is not None:
-            best = best[keep]
-    else:
-        for i in range(len(cols)):
-            leave(i, "iteration-limit")
     return results
 
 

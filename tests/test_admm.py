@@ -1,7 +1,11 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from conzopt import (
+    AdmmResult,
     AdmmSettings,
     ConZono,
     EmptySetError,
@@ -292,6 +296,30 @@ def test_iteration_limit_returns_best_iterates():
     assert res.x_star.shape == (2,)
 
 
+def test_the_last_iteration_converges_or_hits_the_limit():
+    # a solve whose stopping test first passes at iteration K
+    red = reduce_qp(QpProblem(SparseMat.eye(2), np.array([-2.0, 0.0]), unit_box()))
+    K = admm_solve(red).iterations
+    at_k = admm_solve(red, AdmmSettings(max_iter=K))
+    assert (at_k.status, at_k.iterations) == ("converged", K)
+    before = admm_solve(red, AdmmSettings(max_iter=K - 1))
+    assert (before.status, before.iterations) == ("iteration-limit", K - 1)
+    # in a batch, a column that stops later than K reports the limit at K
+    later = np.array([-8.0, 3.0])
+    assert admm_solve(red, q_tilde=later).iterations > K
+    first, second = _iterate_batch(red, np.column_stack([red.q_tilde, later]), AdmmSettings(max_iter=K))
+    assert (first.status, first.iterations) == ("converged", K)
+    assert (second.status, second.iterations) == ("iteration-limit", K)
+
+
+def test_iterate_batch_keeps_the_names_the_benchmark_tracer_reads():
+    # perfbench/tracer.py counts iterations and certificate checks by binding
+    # _iterate_batch's reduced and settings by name and reading each result's
+    # iterations and status; a rename would make it count zero without an error
+    assert {"reduced", "settings"} <= set(inspect.signature(_iterate_batch).parameters)
+    assert {"iterations", "status"} <= {f.name for f in dataclasses.fields(AdmmResult)}
+
+
 def test_inf_norm_criterion():
     Z = unit_box()
     red = reduce_qp(QpProblem(SparseMat.eye(2), np.array([-2.0, 0.0]), Z))
@@ -443,6 +471,8 @@ def test_qp_mode_certificates_lie_in_row_space_and_separate(rng):
         y, *_ = np.linalg.lstsq(A.T, v, rcond=None)
         assert np.max(np.abs(A.T @ y - v)) <= 1e-10 * np.max(np.abs(v))
         assert abs(v @ res.xi) > np.sum(np.abs(v))
+        # the inequality the solver certifies: no point of the unit box meets A xi = b
+        assert abs(Z.b @ y) > np.sum(np.abs(v))
         assert certificate_is_valid(Z, v)
 
 
@@ -512,8 +542,20 @@ def test_support_batch_matches_single(rng):
             assert batch[j].status == single.status == "converged"
             assert batch[j].iterations == single.iterations
             assert np.array_equal(batch[j].x_star, single.x_star)
-    # a support value is d . x_star, so equal iterates give equal values
+    # with a gap, status, iterations and iterates agree bit for bit too; the bound's sums
+    # run over the batch's columns at once, so its last bits may differ
     Z, D = cases[0]
+    reduced = reduce_support(Z, settings)
+    q_cols = -Z.G.rmatvec(D)
+    for gap, status in ((0.05, "bounded"), (-np.inf, "converged")):
+        batch = _iterate_batch(reduced, q_cols, settings, gap=gap)
+        for j in range(D.shape[1]):
+            single, = _iterate_batch(reduced, q_cols[:, [j]], settings, gap=gap)
+            assert batch[j].status == single.status == status
+            assert batch[j].iterations == single.iterations
+            assert np.array_equal(batch[j].x_star, single.x_star)
+            assert batch[j].bound == pytest.approx(single.bound, rel=1e-13, abs=0.0)
+    # a support value is d . x_star, so equal iterates give equal values
     assert support_batch(Z, D, settings).tolist() == [support(Z, d, settings) for d in D.T]
     assert support_batch(Z, np.zeros((2, 0)), settings).shape == (0,)
 

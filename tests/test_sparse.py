@@ -754,16 +754,17 @@ def _corridor_qp():
     return QpProblem(P, q, Z)
 
 
+# the reduced problems whose saddle matrices M the tests below factor
 _SADDLES = {
-    "feasibility": lambda: reduce_feasibility(_safety_clash()).M,
-    "mhe-window": lambda: reduce_qp(_mhe_window_qp()).M,
-    "corridor-f1": lambda: reduce_qp(_corridor_qp()).M,
+    "feasibility": lambda: reduce_feasibility(_safety_clash()),
+    "mhe-window": lambda: reduce_qp(_mhe_window_qp()),
+    "corridor-f1": lambda: reduce_qp(_corridor_qp()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SADDLES))
 def test_ldlt_factor_arrays_pinned(name):
-    M = _SADDLES[name]()
+    M = _SADDLES[name]().M
     m_digest, factor_digest = _SADDLE_DIGESTS[name]
     if _digest(M._m.indptr, M._m.indices, M._m.data) != m_digest:
         # the scenarios go through sin, cos and LAPACK, whose last bits differ between builds
@@ -771,6 +772,21 @@ def test_ldlt_factor_arrays_pinned(name):
     f = ldlt_factorize(M)
     L = f.L._m
     assert _digest(L.indptr, L.indices, L.data, f.D) == factor_digest
+
+
+@pytest.mark.parametrize("name", sorted(_SADDLES))
+def test_ldlt_factor_contract_on_saddles(name):
+    # what any factorization backend must meet, read from D and from solves alone:
+    # the saddle's inertia, n_G positive pivots then n_C negative ones, and solves
+    # with a small residual for one right-hand side and for two at once
+    reduced = _SADDLES[name]()
+    f = ldlt_factorize(reduced.M)
+    assert np.array_equal(np.sign(f.D), np.repeat([1.0, -1.0], [reduced.n_g, reduced.n_c]))
+    M = reduced.M.tocsc()
+    rhs = np.random.default_rng(11).normal(size=(M.shape[0], 2))
+    for b in (rhs[:, 0], rhs):
+        residual = M @ ldlt_solve(f, b) - b
+        assert np.all(np.linalg.norm(residual, axis=0) <= 1e-9 * np.linalg.norm(b, axis=0))
 
 
 def _factor_or_pivot(M):
@@ -787,7 +803,7 @@ def _factor_or_pivot(M):
 def test_ldlt_cached_schedule_reproduces_cold_factor(name):
     # a factorization that finds its pattern's schedule in the cache gives the bits of one
     # that walks the elimination tree itself
-    M = _SADDLES[name]() if name in _SADDLES else _dependent_rows_saddle()
+    M = _SADDLES[name]().M if name in _SADDLES else _dependent_rows_saddle()
     _symbolic_cache.clear()
     cold = _factor_or_pivot(M)
     (Lp, schedule, row_ptr), = _symbolic_cache.values()
@@ -813,7 +829,7 @@ def _outcome(factorize, M):
 def test_ldlt_matches_scalar_loop_on_saddles(name):
     # the digests above skip where a platform assembles other saddle bits; this
     # comparison with the earlier scalar-at-a-time loop runs everywhere
-    M = _SADDLES[name]() if name in _SADDLES else _dependent_rows_saddle()
+    M = _SADDLES[name]().M if name in _SADDLES else _dependent_rows_saddle()
     outcome = _outcome(ldlt_factorize, M)
     assert outcome == _outcome(ldlt_scalar_loop, M)
     assert outcome[0] == 3 if name == "dependent-rows" else isinstance(outcome, list)
