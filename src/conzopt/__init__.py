@@ -38,7 +38,7 @@ from .builders import (
     safety_verify,
     stack_trajectory,
 )
-from .intervals import Interval, IntervalBox
+from .intervals import IntervalBox
 from .reach import (
     ComplexityPrediction,
     LinearSystem,

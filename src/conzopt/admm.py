@@ -228,6 +228,8 @@ def _iterate_batch(reduced: ReducedQp, q_tilde_cols, settings: AdmmSettings, war
     n_g, n_c = reduced.n_g, reduced.n_c
     neg_q = -np.asarray(q_tilde_cols, dtype=float)
     m = neg_q.shape[1]
+    if m == 0:
+        return []
     rho, norm = reduced.rho, settings.norm
     k_inf = settings.k_inf if n_c > 0 else 0    # 0: no constraint rows, so no certificate check
 

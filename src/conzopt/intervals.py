@@ -1,95 +1,25 @@
-"""Closed scalar intervals and interval vectors.
+"""Closed interval vectors (boxes).
 
 Endpoint arithmetic rounds to nearest, not outward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
-
-    def __add__(self, other):
-        other = _as_interval(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other):
-        other = _as_interval(other)
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def scale(self, alpha):
-        if alpha >= 0:
-            return Interval(alpha * self.lo, alpha * self.hi)
-        return Interval(alpha * self.hi, alpha * self.lo)
-
-    def __rmul__(self, alpha):
-        if np.isscalar(alpha):
-            return self.scale(float(alpha))
-        return NotImplemented
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return self.scale(float(other))
-        other = _as_interval(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
-
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    @property
-    def mid(self):
-        return 0.5 * (self.lo + self.hi)
-
-
-def _as_interval(x):
-    if isinstance(x, Interval):
-        return x
-    if np.isscalar(x):
-        return Interval(float(x), float(x))
-    raise TypeError(f"cannot interpret {type(x).__name__} as an interval")
-
-
 class IntervalBox:
-    """Vector of closed intervals."""
+    """Vector of closed intervals [lo_i, hi_i]."""
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo, hi=None):
-        if hi is None:
-            intervals = list(lo)
-            lo = np.array([iv.lo for iv in intervals], dtype=float)
-            hi = np.array([iv.hi for iv in intervals], dtype=float)
+    def __init__(self, lo, hi):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError(f"bounds of shapes {lo.shape} and {hi.shape} are not vectors of one length")
         if not np.all(lo <= hi):
-            # a NaN bound fails lo <= hi, as it does in Interval
+            # a NaN bound fails lo <= hi too
             bad = int(np.argmin(lo <= hi))
             raise ValueError(f"invalid box: not lo <= hi at component {bad}")
         object.__setattr__(self, "lo", lo)
@@ -100,12 +30,6 @@ class IntervalBox:
 
     def __len__(self):
         return self.lo.shape[0]
-
-    def __getitem__(self, i):
-        return Interval(float(self.lo[i]), float(self.hi[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def _operand(self, x):
         """A scalar, or a vector of the box's length (infinite entries allowed), as a float array."""

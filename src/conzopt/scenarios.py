@@ -237,13 +237,9 @@ def run_mpc_open_loop(spec: MpcSpec, settings: AdmmSettings = AdmmSettings()) ->
 def count_state_set_violations(states, state_sets, settings):
     """States outside their per-step sets inflated by a 0.02 box."""
     violations = 0
-    pad_cache = {}
     for x, S_k in zip(states, state_sets):
-        key = id(S_k)
-        if key not in pad_cache:
-            pad = interval_to_zono(IntervalBox(np.full(S_k.dim, -2e-2), np.full(S_k.dim, 2e-2)))
-            pad_cache[key] = minkowski_sum(S_k, pad)
-        if not contains_point(pad_cache[key], x, settings):
+        pad = interval_to_zono(IntervalBox(np.full(S_k.dim, -2e-2), np.full(S_k.dim, 2e-2)))
+        if not contains_point(minkowski_sum(S_k, pad), x, settings):
             violations += 1
     return violations
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .intervals import Interval, IntervalBox
+from .intervals import IntervalBox
 from .sparse import SparseMat, _check_finite, _count, _matmul, _matrix, _place, _vector, blkdiag, hcat, multiply
 
 
@@ -231,41 +231,35 @@ def rotation_uncertainty_zono(theta_meas, e_theta, body_box: IntervalBox) -> Con
     if len(body_box) != 2:
         raise ValueError(f"body-frame box must be planar, got length {len(body_box)}")
 
-    theta_iv = Interval(theta_meas - e_theta, theta_meas + e_theta)
-    e_cos = _cos_range(theta_iv) - np.cos(theta_meas)
-    e_sin = _sin_range(theta_iv) - np.sin(theta_meas)
+    lo, hi = theta_meas - e_theta, theta_meas + e_theta
+    cos_lo, cos_hi = _trig_range(np.cos, 0.0, lo, hi)
+    sin_lo, sin_hi = _trig_range(np.sin, np.pi / 2.0, lo, hi)
+    # Python floats: a 0 * inf product is NaN without a warning, and the box check raises on it
+    c, s = float(np.cos(theta_meas)), float(np.sin(theta_meas))
+    e_cos, e_sin = (cos_lo - c, cos_hi - c), (sin_lo - s, sin_hi - s)
 
-    ex, ey = body_box[0], body_box[1]
-    err_box = IntervalBox([
-        e_cos * ex - e_sin * ey,
-        e_sin * ex + e_cos * ey,
-    ])
+    ex, ey = zip(body_box.lo.tolist(), body_box.hi.tolist())
+    cx, sy, sx, cy = _product(e_cos, ex), _product(e_sin, ey), _product(e_sin, ex), _product(e_cos, ey)
+    err_box = IntervalBox([cx[0] - sy[1], sx[0] + cy[0]], [cx[1] - sy[0], sx[1] + cy[1]])
 
     rotated = affine_map(rotation_matrix(theta_meas), interval_to_zono(body_box))
     return minkowski_sum(rotated, interval_to_zono(err_box))
 
 
-def _cos_range(iv: Interval) -> Interval:
-    """Range of cos over a closed interval."""
-    if iv.width >= 2.0 * np.pi:
-        return Interval(-1.0, 1.0)
-    candidates = [np.cos(iv.lo), np.cos(iv.hi)]
-    # interior extrema at multiples of pi
-    k_lo = int(np.ceil(iv.lo / np.pi))
-    k_hi = int(np.floor(iv.hi / np.pi))
+def _trig_range(f, peak, lo, hi):
+    """Range (min, max) of f over [lo, hi], for f = cos with peak 0 or f = sin with peak pi/2."""
+    if hi - lo >= 2.0 * np.pi:
+        return -1.0, 1.0
+    candidates = [f(lo), f(hi)]
+    # interior extrema at peak + k*pi: a maximum for even k, a minimum for odd k
+    k_lo = int(np.ceil((lo - peak) / np.pi))
+    k_hi = int(np.floor((hi - peak) / np.pi))
     for k in range(k_lo, k_hi + 1):
         candidates.append(1.0 if k % 2 == 0 else -1.0)
-    return Interval(float(min(candidates)), float(max(candidates)))
+    return float(min(candidates)), float(max(candidates))
 
 
-def _sin_range(iv: Interval) -> Interval:
-    """Range of sin over a closed interval."""
-    if iv.width >= 2.0 * np.pi:
-        return Interval(-1.0, 1.0)
-    candidates = [np.sin(iv.lo), np.sin(iv.hi)]
-    # interior extrema at pi/2 + k*pi
-    k_lo = int(np.ceil((iv.lo - np.pi / 2.0) / np.pi))
-    k_hi = int(np.floor((iv.hi - np.pi / 2.0) / np.pi))
-    for k in range(k_lo, k_hi + 1):
-        candidates.append(1.0 if k % 2 == 0 else -1.0)
-    return Interval(float(min(candidates)), float(max(candidates)))
+def _product(x, y):
+    """Range (min, max) of a * b over a in [x[0], x[1]] and b in [y[0], y[1]]."""
+    products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return min(products), max(products)

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
+import importlib
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +321,37 @@ def test_iterate_batch_keeps_the_names_the_benchmark_tracer_reads():
     # iterations and status; a rename would make it count zero without an error
     assert {"reduced", "settings"} <= set(inspect.signature(_iterate_batch).parameters)
     assert {"iterations", "status"} <= {f.name for f in dataclasses.fields(AdmmResult)}
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # perfbench/tracer.py skips a (module, attribute) it cannot find, so a deleted or
+    # renamed name would drop out of the benchmark's timings without an error; its
+    # TARGETS are read from the source, and resolved by the tracer's own rule
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text())
+    targets, = (ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    assert {("sparse", "SparseMat.__init__"), ("admm", "ReducedQp.__init__"),
+            ("admm", "_iterate_batch")} <= set(targets)
+    unresolved = []
+    for module_name, attr in targets:
+        module = importlib.import_module(f"conzopt.{module_name}")
+        owner_name, _, method = attr.partition(".")
+        owner = getattr(module, owner_name, None)
+        if owner is None or (method and method not in vars(owner)):
+            unresolved.append(f"{module_name}.{attr}")
+    assert unresolved == []
+
+
+def test_a_batch_of_no_columns_runs_no_iteration(monkeypatch):
+    import conzopt.admm as admm_module
+
+    solves = []
+    real = admm_module.ldlt_solve
+    monkeypatch.setattr(admm_module, "ldlt_solve", lambda *args: solves.append(1) or real(*args))
+    hexa = make_regular_polygon(6, 1.0)
+    assert support_batch(hexa, np.zeros((2, 0))).shape == (0,)
+    assert _iterate_batch(reduce_support(hexa), np.zeros((hexa.n_g, 0)), AdmmSettings()) == []
+    assert solves == []
 
 
 def test_inf_norm_criterion():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from conzopt import (
     unroll,
     zonotope_support,
 )
+from conzopt.sets import _trig_range
 from oracles import lp_contains, lp_is_empty, random_zonotope
 
 
@@ -338,6 +340,50 @@ def test_rotation_uncertainty_rejects_non_finite_inputs():
     any_heading = rotation_uncertainty_zono(0.4, np.inf, box)
     for d in ([1.0, 0.0], [0.0, -1.0], [0.6, 0.8]):
         assert zonotope_support(any_heading, d) >= np.hypot(1.0, 0.5) - 1e-12
+
+
+def test_rotation_uncertainty_arrays_are_pinned():
+    # SHA-256 of G, c, A and b over 432 inputs, as the scalar-interval code computed them
+    headings = (-100.0, -np.pi, -0.4, 0.0, 0.7, np.pi / 2.0, np.pi, 3.0 * np.pi / 4.0, 100.0)
+    errors = (0.0, 1e-9, 0.3, np.pi / 2.0, np.pi, 2.0 * np.pi, 7.0, np.inf)
+    boxes = (([0.0, 0.0], [0.0, 0.0]), ([1.0, -0.5], [1.0, 0.5]), ([-1.0, -0.5], [1.0, 0.5]),
+             ([0.0, 0.5], [2.0, 1.5]), ([-3.0, -2.0], [-1.0, -0.5]), ([0.0, -1.0], [2.0, 0.0]))
+    digest = hashlib.sha256()
+    for theta in headings:
+        for e_theta in errors:
+            for lo, hi in boxes:
+                Z = rotation_uncertainty_zono(theta, e_theta, IntervalBox(lo, hi))
+                for part in (Z.G.toarray(), Z.c, Z.A.toarray(), Z.b):
+                    digest.update(part.tobytes())
+    assert digest.hexdigest() == "0c76b3cc92d86c22e98722b796d7e08c64a008ca38d529400a6ef95bd1ae5838"
+
+
+def test_rotation_uncertainty_rejects_infinite_or_nan_body_boxes():
+    for e_theta in (0.0, 0.3, np.inf):
+        for lo, hi in (([0.0, -1.0], [np.inf, 1.0]), ([-1.0, -np.inf], [1.0, 0.0])):
+            with pytest.raises(ValueError):
+                rotation_uncertainty_zono(0.4, e_theta, IntervalBox(lo, hi))
+    # 0 * inf in the error box's products
+    with pytest.raises(ValueError):
+        rotation_uncertainty_zono(0.4, 0.0, IntervalBox([-np.inf, -1.0], [np.inf, 1.0]))
+    with pytest.raises(ValueError, match="invalid box"):
+        rotation_uncertainty_zono(0.4, 0.3, IntervalBox([np.nan, -1.0], [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("f, peak", [(np.cos, 0.0), (np.sin, np.pi / 2.0)])
+def test_trig_range_contains_samples_and_their_extremes(rng, f, peak):
+    for lo, width in zip(rng.uniform(-20.0, 20.0, 200), rng.exponential(1.5, 200)):
+        hi = lo + width
+        # dense samples, and every extremum peak + k pi near [lo, hi]
+        ks = np.arange(np.floor((lo - peak) / np.pi), np.ceil((hi - peak) / np.pi) + 1)
+        t = np.concatenate([np.linspace(lo, hi, 2001), peak + np.pi * ks])
+        values = f(t[(lo <= t) & (t <= hi)])
+        low, high = _trig_range(f, peak, lo, hi)
+        assert low <= values.min() + 1e-15 and values.max() - 1e-15 <= high
+        # and the range is tight: both ends are reached within the sample spacing
+        assert values.min() - low <= 1e-4 and high - values.max() <= 1e-4
+    for f_lo, f_hi in ((0.3, 0.3 + 2.0 * np.pi), (-np.inf, np.inf), (5.0, 40.0)):
+        assert _trig_range(f, peak, f_lo, f_hi) == (-1.0, 1.0)
 
 
 def test_zonotope_support_rejects_bad_directions():
